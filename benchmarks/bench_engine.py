@@ -1,4 +1,4 @@
-"""Execution-engine benchmark: strict vs permissive vs fast vs codegen.
+"""Execution-engine benchmark: strict vs fast vs codegen.
 
 Times the cycle-accurate machine model under every registered engine on
 the full nine-design registry on an 8x8 grid and writes
@@ -91,7 +91,6 @@ def main() -> int:
         results[name] = {
             "vcycles": vcycles,
             "strict_vcycles_per_sec": round(rates["strict"], 2),
-            "permissive_vcycles_per_sec": round(rates["permissive"], 2),
             "fast_vcycles_per_sec": round(rates["fast"], 2),
             "codegen_vcycles_per_sec": round(rates["codegen"], 2),
             "speedup": round(speedup, 2),

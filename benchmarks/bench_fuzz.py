@@ -6,8 +6,8 @@ fixed seed block:
 
 * ``quick_sps``   - seeds/s through the quick matrix (golden interpreter,
   serial baseline, strict machine);
-* ``engines_sps`` - seeds/s adding the permissive and fast engines;
-* ``full_sps``    - seeds/s through all thirteen fault-free oracles
+* ``engines_sps`` - seeds/s adding the fast and codegen engines;
+* ``full_sps``    - seeds/s through every fault-free oracle of the full matrix
   (compiler-option variants share compilations where options agree);
 * ``shrink_s``    - wall time to minimize one seeded-fault repro
   (``golden-buggy-sub``) below 10 IR ops;

@@ -98,7 +98,6 @@ def run_with_checkpoints(
         exception_stall: int = 500, profiler=None,
         store: CheckpointStore | None = None,
         checkpoint_every: int = 0, resume: bool = False,
-        shards: int = 0, transport: str = "process",
         on_start: Callable[[Machine, bool], None] | None = None,
         on_vcycle: Callable[[Machine], None] | None = None,
         preempt: Callable[[], bool] | None = None,
@@ -118,12 +117,6 @@ def run_with_checkpoints(
     collectors bind to the machine; ``on_vcycle`` after every completed
     Vcycle - the hook tests and the CLI throttle use to make runs
     interruptible at known points.
-
-    ``shards=K`` runs (and resumes) on a K-way
-    :class:`~repro.machine.shard.ShardedMachine` over ``transport``
-    instead of a single-process :class:`Machine`; the published
-    snapshots stay standard single-process images, so sharded and solo
-    invocations can resume each other's checkpoints.
 
     ``preempt`` (the :mod:`repro.serve` preemption hook) is polled while
     the run advances; when it returns True the driver stops, publishes a
@@ -148,8 +141,7 @@ def run_with_checkpoints(
             try:
                 machine = restore(snapshot, program=program,
                                   config=config, engine=engine,
-                                  profiler=profiler, shards=shards,
-                                  transport=transport)
+                                  profiler=profiler)
             except SnapshotError as exc:
                 rejected.append(RejectedSnapshot(path, str(exc)))
                 continue
@@ -158,16 +150,9 @@ def run_with_checkpoints(
             break
 
     if machine is None:
-        if shards:
-            from ..machine.shard import ShardedMachine
-            machine = ShardedMachine(
-                program, config, shards=shards, engine=engine,
-                exception_stall=exception_stall, profiler=profiler,
-                transport=transport)
-        else:
-            machine = Machine(program, config, engine=engine,
-                              exception_stall=exception_stall,
-                              profiler=profiler)
+        machine = Machine(program, config, engine=engine,
+                          exception_stall=exception_stall,
+                          profiler=profiler)
 
     if on_start is not None:
         on_start(machine, resumed_from is not None)
@@ -178,7 +163,7 @@ def run_with_checkpoints(
         while not machine.finished \
                 and machine.counters.vcycles < max_vcycles:
             if preempt is not None and preempt_grain > 0 \
-                    and not getattr(machine, "_trusted", True):
+                    and not machine._trusted:
                 # Checking engine: advance event-by-event so the hook
                 # can fire (and the snapshot land) mid-Vcycle.
                 completed = machine.step_events(preempt_grain)

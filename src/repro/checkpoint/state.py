@@ -72,8 +72,7 @@ def capture(machine: Machine) -> dict:
 
 
 def restore(snapshot: Snapshot, program=None, config=None,
-            engine: str | None = None, profiler=None,
-            shards: int = 0, transport: str = "process") -> Machine:
+            engine: str | None = None, profiler=None) -> Machine:
     """Reconstruct a machine that continues the snapshotted run.
 
     ``program``/``config`` default to the embedded copies; passing
@@ -85,12 +84,6 @@ def restore(snapshot: Snapshot, program=None, config=None,
     ``profiler`` (optional) is loaded with the snapshot's profiler
     counters when present, so a profile of the resumed run equals the
     single-run profile.
-
-    ``shards=K`` resumes into a K-way
-    :class:`~repro.machine.shard.ShardedMachine` instead - snapshots are
-    standard single-process images either way, so a solo run's snapshot
-    can continue sharded and vice versa.  Sharded resume requires a
-    Vcycle-boundary snapshot.
     """
     payload = snapshot.payload
     if program is None:
@@ -117,19 +110,8 @@ def restore(snapshot: Snapshot, program=None, config=None,
         raise SnapshotError(
             "snapshot is mid-Vcycle with a trusted compiled engine - "
             "impossible state (corrupt snapshot?)")
-    if shards:
-        if state["event_pos"]:
-            raise SnapshotError(
-                "snapshot is mid-Vcycle; sharded execution resumes only "
-                "from Vcycle-boundary snapshots")
-        from ..machine.shard import ShardedMachine
-        machine = ShardedMachine(
-            program, config, shards=shards, engine=engine,
-            exception_stall=int(state["exception_stall"]),
-            profiler=profiler, transport=transport)
-    else:
-        machine = Machine(program, config, engine=engine,
-                          exception_stall=int(state["exception_stall"]),
-                          profiler=profiler)
+    machine = Machine(program, config, engine=engine,
+                      exception_stall=int(state["exception_stall"]),
+                      profiler=profiler)
     machine.load_checkpoint_state(state)
     return machine

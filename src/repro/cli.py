@@ -138,20 +138,6 @@ def cmd_run(args) -> int:
     if args.batch:
         return _run_batch(args, result, config, cycles)
 
-    if args.shards:
-        incompatible = [flag for flag, on in [
-            ("--batch", args.batch), ("--vcd", args.vcd),
-        ] if on]
-        if incompatible:
-            print(f"repro run: --shards is incompatible with "
-                  f"{', '.join(incompatible)}", file=sys.stderr)
-            return 2
-        if args.engine == "codegen":
-            print("repro run: --shards cannot use engine=codegen (its "
-                  "kernel holds whole-grid state); use --engine fast",
-                  file=sys.stderr)
-            return 2
-
     store = None
     if args.checkpoint_dir:
         store = ckpt.CheckpointStore(args.checkpoint_dir,
@@ -190,12 +176,8 @@ def cmd_run(args) -> int:
     run = ckpt.run_with_checkpoints(
         result.program, cycles, config=config, engine=args.engine,
         store=store, checkpoint_every=args.checkpoint_every,
-        resume=args.resume, shards=args.shards,
-        transport=args.shard_transport,
-        on_start=on_start, on_vcycle=on_vcycle)
+        resume=args.resume, on_start=on_start, on_vcycle=on_vcycle)
     mres = run.result
-    if args.shards:
-        run.machine.close()
 
     for bad in run.rejected:
         print(f"-- discarded snapshot {bad.path.name}: {bad.reason}",
@@ -818,16 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run N identical lanes of the design in lockstep "
                         "(batched kernel on the codegen engine; "
                         "incompatible with --vcd/--checkpoint-*/--resume)")
-    p.add_argument("--shards", type=int, default=0, metavar="K",
-                   help="shard the grid into K contiguous row bands, one "
-                        "persistent worker process each, exchanging "
-                        "boundary messages once per Vcycle (bit-identical "
-                        "to single-process; incompatible with "
-                        "--batch/--vcd/engine=codegen)")
-    p.add_argument("--shard-transport", default="process",
-                   choices=["process", "local"],
-                   help="sharded execution transport (default: process; "
-                        "local runs every shard in-process, for debugging)")
     p.add_argument("--batch-lowering", default="auto",
                    choices=["auto", "list", "numpy"],
                    help="batched-kernel vector lowering (default: auto = "

@@ -10,7 +10,7 @@ guarded that claim into a first-class tool:
   arithmetic, mux trees, custom-function-eligible bitwise clusters);
 * :mod:`repro.fuzz.oracle` - a differential harness running each circuit
   through a configurable matrix of oracles (golden interpreter, serial
-  baseline, the Manticore machine under strict/permissive/fast/codegen engines x
+  baseline, the Manticore machine under strict/fast/codegen engines x
   compiler-option variants) and reporting the first divergence with its
   cycle number and signal name;
 * :mod:`repro.fuzz.shrink` - a delta-debugging minimizer reducing a

@@ -3,7 +3,7 @@
 Every oracle is one way of executing a circuit that must agree with the
 golden strict interpreter bit-for-bit: the interpreter's own compiled
 engine, the Verilator-like serial baseline, and the Manticore toolchain
-(compile + machine model) under strict/permissive/fast/codegen engines and a
+(compile + machine model) under strict/fast/codegen engines and a
 matrix of :class:`~repro.compiler.CompilerOptions` variants (merge
 strategy, mem2reg, state coalescing, custom-function selector, parallel
 ``jobs``, compile cache on/off).
@@ -66,11 +66,6 @@ class OracleSpec:
     #: engine trust its kernel from Vcycle one with no strict
     #: verification - the harshest differential test of emitted code.
     verify_vcycles: int | None = None
-    #: Run on a K-way :class:`~repro.machine.shard.ShardedMachine`
-    #: (in-process transport - the barrier protocol, rollback, and
-    #: counter/display merge are what differentiate; the pipe transport
-    #: is exercised by the shard equivalence tests and CI smoke).
-    shards: int = 0
     #: Round-trip the circuit through the Verilog emitter and frontend
     #: (:mod:`repro.netlist.verilog_emit` -> ``parse_verilog``) before
     #: compiling, and check the re-parse reaches a structural fixed
@@ -88,8 +83,6 @@ class OracleSpec:
             parts.append("checkpointed")
         if self.verify_vcycles is not None:
             parts.append(f"verify={self.verify_vcycles}")
-        if self.shards:
-            parts.append(f"shards={self.shards}")
         if self.verilog_roundtrip:
             parts.append("verilog-roundtrip")
         if self.fault:
@@ -100,11 +93,11 @@ class OracleSpec:
 def _machine(name: str, engine: str = "strict", fault: str | None = None,
              through_cache: bool = False, profiled: bool = False,
              checkpoint: bool = False, verify_vcycles: int | None = None,
-             shards: int = 0, verilog_roundtrip: bool = False,
+             verilog_roundtrip: bool = False,
              **options) -> OracleSpec:
     return OracleSpec(name, "machine", engine,
                       tuple(sorted(options.items())), fault, through_cache,
-                      profiled, checkpoint, verify_vcycles, shards,
+                      profiled, checkpoint, verify_vcycles,
                       verilog_roundtrip)
 
 
@@ -115,7 +108,6 @@ ORACLES: dict[str, OracleSpec] = {
         OracleSpec("interp-fast", "interp", "fast"),
         OracleSpec("baseline-serial", "baseline", "fast"),
         _machine("machine-strict"),
-        _machine("machine-permissive", engine="permissive"),
         _machine("machine-fast", engine="fast"),
         _machine("machine-strict-nomem2reg", mem2reg_max_words=0),
         _machine("machine-strict-nocoalesce", coalesce_state=False),
@@ -133,10 +125,6 @@ ORACLES: dict[str, OracleSpec] = {
                  verify_vcycles=0),
         _machine("machine-codegen-ckpt", engine="codegen",
                  checkpoint=True),
-        _machine("machine-sharded", engine="fast", shards=2),
-        _machine("machine-sharded-strict", shards=3),
-        _machine("machine-sharded-ckpt", engine="fast", shards=2,
-                 checkpoint=True),
         _machine("machine-verilog-roundtrip", verilog_roundtrip=True),
         # Fault-injection oracles: deliberately wrong semantics used by
         # the self-tests and as live demos of a failing replay.
@@ -150,20 +138,17 @@ ORACLES: dict[str, OracleSpec] = {
 MATRICES: dict[str, tuple[str, ...]] = {
     "quick": ("interp-fast", "baseline-serial", "machine-strict"),
     "engines": ("interp-fast", "baseline-serial", "machine-strict",
-                "machine-permissive", "machine-fast",
-                "machine-fast-profiled", "machine-fast-ckpt",
-                "machine-codegen", "machine-codegen-trust0",
-                "machine-codegen-ckpt", "machine-sharded"),
+                "machine-fast", "machine-fast-profiled",
+                "machine-fast-ckpt", "machine-codegen",
+                "machine-codegen-trust0", "machine-codegen-ckpt"),
     "full": ("interp-fast", "baseline-serial", "machine-strict",
-             "machine-permissive", "machine-fast",
-             "machine-strict-nomem2reg", "machine-strict-nocoalesce",
-             "machine-strict-lpt", "machine-strict-greedy",
-             "machine-strict-nocustom", "machine-strict-jobs2",
-             "machine-strict-cached", "machine-fast-nomem2reg",
-             "machine-fast-profiled", "machine-fast-ckpt",
-             "machine-codegen", "machine-codegen-trust0",
-             "machine-codegen-ckpt", "machine-sharded",
-             "machine-sharded-strict", "machine-sharded-ckpt",
+             "machine-fast", "machine-strict-nomem2reg",
+             "machine-strict-nocoalesce", "machine-strict-lpt",
+             "machine-strict-greedy", "machine-strict-nocustom",
+             "machine-strict-jobs2", "machine-strict-cached",
+             "machine-fast-nomem2reg", "machine-fast-profiled",
+             "machine-fast-ckpt", "machine-codegen",
+             "machine-codegen-trust0", "machine-codegen-ckpt",
              "machine-verilog-roundtrip"),
 }
 
@@ -479,20 +464,8 @@ def run_oracle(spec: OracleSpec, make_circuit: Callable[[], Circuit],
                     config = dataclasses.replace(
                         config,
                         fastpath_verify_vcycles=spec.verify_vcycles)
-                if spec.shards:
-                    # In-process transport: the fuzzer hammers the
-                    # barrier protocol itself (partition, rollback,
-                    # merge); the pipe transport is covered by the
-                    # shard equivalence suite and the CI smoke job.
-                    from ..machine import ShardedMachine
-                    machine = ShardedMachine(
-                        result.program, config, shards=spec.shards,
-                        engine=spec.engine, profiler=profiler,
-                        transport="local")
-                else:
-                    machine = Machine(result.program, config,
-                                      engine=spec.engine,
-                                      profiler=profiler)
+                machine = Machine(result.program, config,
+                                  engine=spec.engine, profiler=profiler)
                 if spec.checkpoint:
                     from .. import checkpoint as ckpt
                     machine.run(max(1, cycles // 2))
@@ -500,9 +473,7 @@ def run_oracle(spec: OracleSpec, make_circuit: Callable[[], Circuit],
                         ckpt.encode_snapshot(ckpt.capture(machine)))
                     machine = ckpt.restore(snap, program=result.program,
                                            config=config,
-                                           profiler=profiler,
-                                           shards=spec.shards,
-                                           transport="local")
+                                           profiler=profiler)
                 mres = machine.run(cycles)
                 if profiler is not None:
                     problem = check_profile_invariants(profiler, mres)

@@ -12,19 +12,14 @@ from .fastpath import FastpathUnsupported
 from .grid import (BATCH_KERNEL_ENGINES, COMPILED_ENGINES, ENGINES,
                    Machine, MachineResult, PerfCounters)
 from .runtime import SimulationRun, simulate_on_manticore
-from .shard import (ShardedMachine, ShardMachine, ShardPlan, ShardSpec,
-                    SendRef, decode_payload, encode_payload, partition)
-from .shardpool import ShardWorkerLost
 from .waveform import Probe, WaveformCollector, trace_map_for
 
 __all__ = [
     "BATCH_KERNEL_ENGINES", "BatchRunner", "Cache", "CacheStats",
     "CodegenUnsupported", "COMPILED_ENGINES", "ENGINES",
     "FastpathUnsupported", "Machine", "MachineConfig", "MachineResult",
-    "PerfCounters", "PROTOTYPE", "Probe", "SendRef", "ShardMachine",
-    "ShardPlan", "ShardSpec", "ShardWorkerLost", "ShardedMachine",
-    "SimulationRun", "TINY", "TraceRecorder", "WaveformCollector",
-    "decode_payload", "deserialize", "encode_payload", "partition",
+    "PerfCounters", "PROTOTYPE", "Probe", "SimulationRun", "TINY",
+    "TraceRecorder", "WaveformCollector", "deserialize",
     "rebind_reg_inits", "run_batch", "serialize",
     "simulate_on_manticore", "trace_map_for",
 ]

@@ -6,8 +6,8 @@ with the same timing contract the compiler scheduled against:
 * one instruction per core per compute cycle, from a fixed Vcycle-long
   schedule (body, receive epilogue, sleep);
 * register writes land ``result_latency`` cycles after issue (delayed
-  writeback, no interlocks) - in strict mode, reading a register with an
-  in-flight write raises :class:`HazardError`, proving the compiler's
+  writeback, no interlocks) - reading a register with an in-flight
+  write raises :class:`HazardError`, proving the compiler's
   schedule is hazard-free;
 * Sends traverse the bufferless unidirectional torus with dimension-
   ordered routing; two messages on one (link, cycle) raise
@@ -17,10 +17,9 @@ with the same timing contract the compiler scheduled against:
   (global stall, SS5.3) and charge stall cycles measured by Fig. 8's
   counters.
 
-Four engines execute this contract (see :mod:`repro.machine.fastpath`,
+Three engines execute this contract (see :mod:`repro.machine.fastpath`,
 :mod:`repro.machine.codegen`, and docs/ARCHITECTURE.md "Execution
-engines"): ``strict`` (all checks, the reference), ``permissive`` (no
-hazard faults - stale reads, like the real hardware), ``fast``
+engines"): ``strict`` (all checks, the reference), ``fast``
 (verify-once-then-trust compiled closure kernels), and ``codegen``
 (the same trust protocol over emitted-and-``exec``'d Python source) -
 the compiled engines stay bit-identical with strict.
@@ -142,13 +141,12 @@ class _Core:
 
     # -- ExecContext protocol -------------------------------------------
     def read_reg(self, reg: int) -> int:
-        if self.machine.strict:
-            for _t, r, _v in self.pending:
-                if r == reg:
-                    raise HazardError(
-                        f"core {self.core_id}: read of r{reg} with an "
-                        "in-flight write (compiler scheduling bug)"
-                    )
+        for _t, r, _v in self.pending:
+            if r == reg:
+                raise HazardError(
+                    f"core {self.core_id}: read of r{reg} with an "
+                    "in-flight write (compiler scheduling bug)"
+                )
         return self.regs[reg]
 
     def write_reg(self, reg: int, value: int) -> None:
@@ -251,12 +249,11 @@ class _Core:
 #: Recognized execution engines (see ``repro.machine.fastpath`` and
 #: ``repro.machine.codegen``):
 #: ``"strict"`` checks hazards, NoC reservations, and receive matching on
-#: every event; ``"permissive"`` is the strict event loop without hazard
-#: faults (reads see stale values, the real hardware's behavior);
-#: ``"fast"`` verifies strictly once, then runs compiled per-core kernels;
-#: ``"codegen"`` verifies the same way, then runs the schedule emitted as
-#: specialized Python source (``exec``'d straight-line grid kernels).
-ENGINES = ("strict", "permissive", "fast", "codegen")
+#: every event; ``"fast"`` verifies strictly once, then runs compiled
+#: per-core kernels; ``"codegen"`` verifies the same way, then runs the
+#: schedule emitted as specialized Python source (``exec``'d
+#: straight-line grid kernels).
+ENGINES = ("strict", "fast", "codegen")
 
 #: The engines that follow the verify-once-then-trust protocol and own a
 #: compiled artifact (``Machine._fastpath``).  Everything engine-generic
@@ -288,7 +285,6 @@ class Machine:
 
     def __init__(self, program: MachineProgram,
                  config: MachineConfig | None = None,
-                 strict: bool = True,
                  exception_stall: int = 500,
                  engine: str | None = None,
                  profiler=None) -> None:
@@ -303,12 +299,11 @@ class Machine:
         if (self.config.grid_x, self.config.grid_y) != program.grid:
             raise ValueError("program was compiled for a different grid")
         if engine is None:
-            engine = "strict" if strict else "permissive"
+            engine = "strict"
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; pick one of "
                              f"{ENGINES}")
         self.engine = engine
-        self.strict = engine != "permissive"
         self.exception_stall = exception_stall
         self.counters = PerfCounters()
         self.cache = Cache(self.config, dram=dict(program.global_init))

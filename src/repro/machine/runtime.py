@@ -53,7 +53,6 @@ class SimulationRun:
 def simulate_on_manticore(circuit: Circuit, max_vcycles: int = 1_000_000,
                           options: "CompilerOptions | None" = None,
                           through_bootloader: bool = True,
-                          strict: bool = True,
                           engine: str | None = None,
                           cache_dir: str | None = None,
                           jobs: int | None = None,
@@ -61,11 +60,10 @@ def simulate_on_manticore(circuit: Circuit, max_vcycles: int = 1_000_000,
     """Compile a circuit, (optionally) round-trip it through the
     bootloader binary format, and execute it on the machine model.
 
-    ``engine`` selects the execution engine (``"strict"``,
-    ``"permissive"``, ``"fast"``, or ``"codegen"`` - the latter two are
+    ``engine`` selects the execution engine (``"strict"``, the default,
+    ``"fast"``, or ``"codegen"`` - the latter two are
     verify-once-then-trust compiled engines, bit-identical to strict
-    but much faster on long runs, with ``"codegen"`` the fastest); when
-    ``None`` the legacy ``strict`` flag decides.
+    but much faster on long runs, with ``"codegen"`` the fastest).
 
     ``cache_dir`` and ``jobs`` override the corresponding
     :class:`~repro.compiler.driver.CompilerOptions` knobs: with a cache
@@ -99,7 +97,6 @@ def simulate_on_manticore(circuit: Circuit, max_vcycles: int = 1_000_000,
         program = deserialize(stream)
     config = (options.config if options else None) or MachineConfig(
         grid_x=program.grid[0], grid_y=program.grid[1])
-    machine = Machine(program, config, strict=strict, engine=engine,
-                      profiler=profiler)
+    machine = Machine(program, config, engine=engine, profiler=profiler)
     mres = machine.run(max_vcycles)
     return SimulationRun(result.report, mres, binary_bytes)

@@ -135,7 +135,7 @@ class Profiler:
             counters = self.cores[cid] = CoreCounters()
         return counters
 
-    # -- per-event hooks (strict/permissive engines) -------------------
+    # -- per-event hooks (strict engine) -------------------------------
     def record_instruction(self, cid: int) -> None:
         self.core(cid).instructions += 1
 
@@ -177,7 +177,7 @@ class Profiler:
                    instructions: int, messages: int,
                    exceptions: int) -> None:
         """One Vcycle's machine-wide counter deltas (from the engine
-        dispatcher, so it covers strict, permissive, and fast alike)."""
+        dispatcher, so it covers every engine alike)."""
         self.samples.append(VcycleSample(
             start=index, width=1, compute_cycles=compute,
             stall_cycles=stall, instructions=instructions,
@@ -204,37 +204,6 @@ class Profiler:
                 self.core(cid).receives += n
         self.links.update(link_hops)
         self.total_hops += sum(link_hops.values())
-
-    # -- shard merge ----------------------------------------------------
-    def absorb(self, other: "Profiler") -> None:
-        """Fold another profiler's collections into this one (the shard
-        runtime records each Vcycle into a scratch profiler so a
-        rollback can discard it, then absorbs the survivor here).
-        Samples append in Vcycle order and re-compact at the cap, so the
-        result is byte-identical to having recorded directly."""
-        for cid, counters in other.cores.items():
-            mine = self.core(cid)
-            mine.instructions += counters.instructions
-            mine.sends += counters.sends
-            mine.receives += counters.receives
-            mine.cache_accesses += counters.cache_accesses
-            mine.exceptions += counters.exceptions
-            mine.stall_caused += counters.stall_caused
-        self.links.update(other.links)
-        self.total_hops += other.total_hops
-        for key, hist in other.cache_latency.items():
-            mine_hist = self.cache_latency.get(key)
-            if mine_hist is None:
-                mine_hist = self.cache_latency[key] = Counter()
-            mine_hist.update(hist)
-        self.stall_causes.update(other.stall_causes)
-        for sample in other.samples:
-            self.samples.append(sample)
-            if len(self.samples) > self.sample_cap:
-                merged = [self.samples[i].merge(self.samples[i + 1])
-                          if i + 1 < len(self.samples) else self.samples[i]
-                          for i in range(0, len(self.samples), 2)]
-                self.samples = merged
 
     # -- checkpoint hooks ----------------------------------------------
     def state_dict(self) -> dict:
@@ -300,92 +269,3 @@ class Profiler:
         for (kind, x, y), hops in self.links.items():
             out[(x, y)] = out.get((x, y), 0) + hops
         return out
-
-
-def merge_profiler_states(states: list[dict],
-                          base: dict | None = None) -> dict:
-    """Merge per-shard profiler ``state_dict`` images into the
-    single-process view.
-
-    Shards profile disjoint core sets but share the grid clock, so:
-    per-core counters union, link/hop counts sum (a message's hops are
-    attributed sender-side, once), cache-latency histograms and stall
-    causes sum (only the privileged shard has any).  Per-Vcycle samples
-    merge positionally - every shard appends exactly one sample per
-    Vcycle and compacts at the same cap, so the lists align; per-sample
-    ``compute_cycles`` is the grid clock (identical everywhere, take the
-    first) while the other deltas are shard-local and sum.
-
-    ``base`` is a profile history to prepend (a restored checkpoint's
-    merged profile: shards restart empty after a restore, so the
-    coordinator holds the past and splices it in front here).
-    """
-    if not states:
-        raise ValueError("no shard profiler states to merge")
-    cores: dict[str, dict] = {}
-    for state in states:
-        for cid, data in state["cores"].items():
-            mine = cores.get(cid)
-            if mine is None:
-                cores[cid] = dict(data)
-            else:
-                for k, v in data.items():
-                    mine[k] += v
-    links: Counter = Counter()
-    for state in states:
-        links.update({(k, x, y): h for k, x, y, h in state["links"]})
-    n_samples = {len(state["samples"]) for state in states}
-    if len(n_samples) != 1:
-        raise ValueError(
-            f"shard sample streams diverged in length: {sorted(n_samples)}")
-    samples = []
-    for row in zip(*(state["samples"] for state in states)):
-        first = row[0]
-        for s in row[1:]:
-            if (s["start"], s["width"]) != (first["start"], first["width"]):
-                raise ValueError(
-                    "shard sample streams diverged in compaction: "
-                    f"{s} vs {first}")
-        samples.append({
-            "start": first["start"], "width": first["width"],
-            "compute_cycles": first["compute_cycles"],
-            "stall_cycles": sum(s["stall_cycles"] for s in row),
-            "instructions": sum(s["instructions"] for s in row),
-            "messages": sum(s["messages"] for s in row),
-            "exceptions": sum(s["exceptions"] for s in row),
-        })
-    cache_latency: dict[tuple[str, str], Counter] = {}
-    for state in states:
-        for op, outcome, hist in state["cache_latency"]:
-            mine = cache_latency.setdefault((op, outcome), Counter())
-            mine.update({int(stall): int(n) for stall, n in hist})
-    stall_causes: Counter = Counter()
-    for state in states:
-        stall_causes.update(state["stall_causes"])
-    total_hops = sum(state["total_hops"] for state in states)
-    if base is not None:
-        for cid, data in base["cores"].items():
-            mine = cores.get(cid)
-            if mine is None:
-                cores[cid] = dict(data)
-            else:
-                for k, v in data.items():
-                    mine[k] += v
-        links.update({(k, x, y): h for k, x, y, h in base["links"]})
-        samples = list(base["samples"]) + samples
-        for op, outcome, hist in base["cache_latency"]:
-            mine = cache_latency.setdefault((op, outcome), Counter())
-            mine.update({int(stall): int(n) for stall, n in hist})
-        stall_causes.update(base["stall_causes"])
-        total_hops += base["total_hops"]
-    return {
-        "cores": cores,
-        "links": [[kind, x, y, hops] for (kind, x, y), hops
-                  in sorted(links.items())],
-        "samples": samples,
-        "cache_latency": [
-            [op, outcome, [[stall, n] for stall, n in sorted(hist.items())]]
-            for (op, outcome), hist in sorted(cache_latency.items())],
-        "stall_causes": {k: v for k, v in sorted(stall_causes.items())},
-        "total_hops": total_hops,
-    }

@@ -20,7 +20,7 @@ import pytest
 from repro import checkpoint as ck
 from repro.compiler import CompilerOptions, compile_circuit
 from repro.designs import DESIGNS
-from repro.machine import Machine, MachineConfig
+from repro.machine import ENGINES, Machine, MachineConfig
 from repro.machine.waveform import WaveformCollector, trace_map_for
 from repro.obs import Profiler
 
@@ -89,12 +89,12 @@ def test_format_rejects_torn_and_corrupt(mutate):
         ck.decode_snapshot(mutate(blob))
 
 
-def test_snapshot_matches_schema():
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_snapshot_matches_schema(engine):
     with open("docs/checkpoint.schema.json") as f:
         schema = json.load(f)
     from repro.obs.export import validate_profile
-    machine = _machine("mc", engine="fast",
-                       profiler=Profiler())
+    machine = _machine("mc", engine=engine, profiler=Profiler())
     machine.run(30)
     snap = _snap(machine)
     errors = validate_profile(
@@ -152,7 +152,7 @@ def _pause_with_traffic(machine: Machine, limit: int = 200_000) -> bool:
     return False
 
 
-@pytest.mark.parametrize("engine", ["strict", "permissive"])
+@pytest.mark.parametrize("engine", ["strict"])
 def test_mid_vcycle_snapshot_with_inflight_messages(engine):
     budget = _budget("noc")
     ref = _machine("noc", engine)

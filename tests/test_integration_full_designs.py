@@ -25,7 +25,7 @@ def test_full_design_machine_matches_golden(name):
     assert golden.finished, f"{name}: golden run did not finish"
 
     result = compile_circuit(info.build(), CompilerOptions(config=CONFIG))
-    machine = Machine(result.program, CONFIG, strict=True)
+    machine = Machine(result.program, CONFIG)
     mres = machine.run(budget)
 
     assert mres.displays == golden.displays

@@ -151,21 +151,9 @@ class TestHazardDetection:
             cores={0: CoreBinary(body=body, epilogue_length=0,
                                  sleep_length=20, reg_init={1: 0})},
             vcpl=22, exceptions=ExceptionTable())
-        machine = Machine(prog, config, strict=True)
+        machine = Machine(prog, config)
         with pytest.raises(HazardError):
             machine.run(1)
-
-    def test_nonstrict_mode_reads_stale_value(self):
-        config = MachineConfig(grid_x=1, grid_y=1, result_latency=8)
-        body = [isa.Set(1, 42), isa.Alu("ADD", 2, 1, 1)]
-        prog = MachineProgram(
-            name="hazard", grid=(1, 1),
-            cores={0: CoreBinary(body=body, epilogue_length=0,
-                                 sleep_length=20, reg_init={1: 7})},
-            vcpl=22, exceptions=ExceptionTable())
-        machine = Machine(prog, config, strict=False)
-        machine.run(1)
-        assert machine.peek_reg(0, 2) == 14  # stale 7+7, not 84
 
 
 class TestNoCFaults:
