@@ -104,7 +104,7 @@ class _VcycleAbort(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Closure factories.  Each binds a core's register file (a plain list),
+# Closure factories.  Each binds a core's register file (an array("H")),
 # pre-resolved operand indices, and concrete operator functions.  The
 # closures are the *kernels*: one call per scheduled event, no dispatch.
 # ---------------------------------------------------------------------------

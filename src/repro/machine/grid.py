@@ -28,11 +28,13 @@ the compiled engines stay bit-identical with strict.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
 
 from ..isa import instructions as isa
 from ..isa.interp import HazardError, NoCDropError
 from ..isa.program import CoreBinary, MachineProgram, SimulationFailure
+from ..netlist.serialize import pack_words, unpack_words
 from ..obs.trace import span as _span
 from .cache import Cache, CacheStats
 from .config import MachineConfig
@@ -102,8 +104,27 @@ class MachineResult:
         return f"did not finish (stopped at the {self.vcycles}-Vcycle budget)"
 
 
+def _zero_words(n: int) -> array:
+    return array("H", bytes(2 * n))
+
+
+def _refill(words: array, live: list[int]) -> None:
+    """Overwrite ``words`` in place with ``live`` plus a zero tail (the
+    object keeps its identity, so kernels bound to it stay valid)."""
+    words[:len(live)] = array("H", live)
+    words[len(live):] = _zero_words(len(words) - len(live))
+
+
 class _Core:
-    """Architectural state of one core."""
+    """Architectural state of one core.
+
+    The register file and scratchpad are ``array("H")`` - 16-bit words,
+    as in the hardware: two bytes a word, packed by one ``tobytes()``,
+    and none of them walked by the cyclic garbage collector (which
+    visits a list's every item).  Every engine binds these two objects
+    by identity, so they are never replaced, only refilled in place
+    (:meth:`load_state`).
+    """
 
     __slots__ = ("core_id", "binary", "regs", "scratch", "carry",
                  "predicate", "pending", "queue", "machine", "events")
@@ -112,13 +133,13 @@ class _Core:
                  config: MachineConfig, machine: "Machine") -> None:
         self.core_id = core_id
         self.binary = binary
-        self.regs = [0] * config.num_registers
+        self.regs = _zero_words(config.num_registers)
         for reg, value in binary.reg_init.items():
             self.regs[reg] = value & 0xFFFF
         has_scratchpad = (config.scratchpad_cores is None
                           or core_id < config.scratchpad_cores)
-        self.scratch = [0] * config.scratchpad_words if has_scratchpad \
-            else None
+        self.scratch = _zero_words(config.scratchpad_words) \
+            if has_scratchpad else None
         for addr, value in binary.scratch_init.items():
             if self.scratch is None:
                 raise SimulationFailure(
@@ -203,7 +224,6 @@ class _Core:
         """The core's complete architectural state as plain JSON data
         (register file and scratchpad packed via ``pack_words``, zero
         tails stripped - the architected lengths come from the config)."""
-        from ..netlist.serialize import pack_words
         return {
             "regs": pack_words(self.regs, strip_zeros=True),
             "scratch": (None if self.scratch is None
@@ -215,16 +235,16 @@ class _Core:
         }
 
     def load_state(self, state: dict) -> None:
-        """Inject a :meth:`state_dict` image.  Register/scratch lists are
-        mutated *in place* so fast-engine closures bound to them by
-        object identity keep working after a restore."""
-        from ..netlist.serialize import unpack_words
+        """Inject a :meth:`state_dict` image.  Register/scratch arrays
+        are refilled *in place* so fast-engine closures and codegen
+        kernels bound to them by object identity keep working after a
+        restore."""
         regs = unpack_words(state["regs"])
         if len(regs) > len(self.regs):
             raise ValueError(
                 f"core {self.core_id}: snapshot has {len(regs)} registers,"
                 f" machine has {len(self.regs)}")
-        self.regs[:] = regs + [0] * (len(self.regs) - len(regs))
+        _refill(self.regs, regs)
         if (state["scratch"] is None) != (self.scratch is None):
             raise ValueError(
                 f"core {self.core_id}: snapshot/machine scratchpad "
@@ -235,8 +255,7 @@ class _Core:
                 raise ValueError(
                     f"core {self.core_id}: snapshot scratchpad size "
                     f"{len(scratch)} > machine {len(self.scratch)}")
-            self.scratch[:] = scratch + \
-                [0] * (len(self.scratch) - len(scratch))
+            _refill(self.scratch, scratch)
         self.carry = int(state["carry"])
         self.predicate = int(state["predicate"])
         self.pending = [(int(t), int(r), int(v))

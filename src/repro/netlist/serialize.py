@@ -27,7 +27,9 @@ import base64
 import hashlib
 import json
 import struct
+import sys
 import zlib
+from array import array
 from typing import Iterable, Sequence
 
 from .ir import (
@@ -67,7 +69,33 @@ def blob_sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-_ZERO_BLOCK = [0] * 4096
+#: All-zero bytes the zero-tail search compares windows against: one
+#: default 16 Ki-word scratchpad, sliced through a memoryview (no copy).
+_ZEROS = memoryview(bytes(1 << 15))
+
+
+def _live_bytes(raw: bytes) -> int:
+    """Byte length of ``raw`` (little-endian ``u16`` words) up to and
+    including its last non-zero word.
+
+    A bisection on the word index where the zero tail starts; each probe
+    is one ``endswith`` memcmp of the not-yet-known window against
+    all-zero bytes, so the probes compare ``len(raw)`` bytes in all.  An
+    all-zero ``raw`` (an untouched scratchpad) costs one probe.
+    """
+    zeros = _ZEROS if len(raw) <= len(_ZEROS) \
+        else memoryview(bytes(len(raw)))
+    tail_is_zero = raw.endswith
+    lo, hi = 0, len(raw)           # even byte offsets; raw[hi:] is zero
+    if tail_is_zero(zeros[:hi]):
+        return 0
+    while lo < hi:
+        mid = (lo + hi) // 4 * 2
+        if tail_is_zero(zeros[:hi - mid], mid, hi):
+            hi = mid
+        else:
+            lo = mid + 2
+    return hi
 
 
 def pack_words(values: Sequence[int],
@@ -82,26 +110,28 @@ def pack_words(values: Sequence[int],
     packs every core's register file at every publish); decompression
     is level-agnostic, so the level is not part of the format.
 
-    With ``strip_zeros`` the zero tail is dropped before encoding:
-    register files and scratchpads are overwhelmingly zero-tailed
-    (allocation packs live registers low; untouched memory reads 0), so
-    callers that pad back to the architected length on load - the
-    machine state hooks - pack typically 50-400x fewer words, which is
-    what keeps periodic checkpoint capture cheap.  The strip stays at
-    C speed: whole all-zero blocks fall off via slice comparison (no
-    struct packing of a 16K-word zero tail), then one byte-level
-    ``rstrip`` trims the remainder.
+    ``values`` is an ``array("H")`` (the machine's register files and
+    scratchpads: one ``tobytes()`` copy, byteswapped on big-endian
+    hosts) or any other sequence of ints in ``[0, 0xFFFF]`` (converted
+    to one first); both encode to the same string.
+
+    With ``strip_zeros`` the zero tail - every trailing all-zero word -
+    is dropped before encoding: register files and scratchpads are
+    overwhelmingly zero-tailed (allocation packs live registers low;
+    untouched memory reads 0), so callers that pad back to the
+    architected length on load - the machine state hooks - pack
+    typically 50-400x fewer words, which is what keeps periodic
+    checkpoint capture cheap.  The tail is found by bisection with a
+    memcmp per probe (:func:`_live_bytes`), never by a per-byte scan.
     """
+    if not (isinstance(values, array) and values.typecode == "H"):
+        values = array("H", values)
+    if sys.byteorder == "big":
+        values = array("H", values)
+        values.byteswap()
+    raw = values.tobytes()
     if strip_zeros:
-        n = len(values)
-        while n >= len(_ZERO_BLOCK) \
-                and values[n - len(_ZERO_BLOCK):n] == _ZERO_BLOCK:
-            n -= len(_ZERO_BLOCK)
-        values = values[:n]
-    raw = struct.pack(f"<{len(values)}H", *values)
-    if strip_zeros:
-        kept = len(raw.rstrip(b"\x00"))
-        raw = raw[:kept + (kept & 1)]
+        raw = raw[:_live_bytes(raw)]
     packed = zlib.compress(raw, 1)
     if len(packed) < len(raw):
         return "z16:" + base64.b64encode(packed).decode("ascii")
