@@ -6,9 +6,10 @@ CI grid, paper sizes on the paper's 15x15 (225-core) machine, stretch
 sizes on a 32x32 grid - plus a registry pin sweep (every named
 workload, including the external Verilog designs and the promoted fuzz
 corpus, re-checked against its pinned fingerprint and state digest).
-Every row requires bit-identical engine-independent state digests
-across its engine set, so this bench doubles as the cross-engine
-equivalence gate at scales the unit suite never visits.
+Every row runs strict, fast and codegen and requires bit-identical
+engine-independent state digests across them, so this bench doubles as
+the cross-engine equivalence gate at scales the unit suite never
+visits - up to codegen kernels for 1024-core programs.
 
 Writes ``BENCH_workloads.json``.  Run with::
 

@@ -48,6 +48,7 @@ import os
 import re
 import tempfile
 import weakref
+from bisect import bisect_right, insort
 from collections import Counter
 from typing import TYPE_CHECKING
 
@@ -750,12 +751,13 @@ def _analyze(machine: "Machine") -> _Plan:
 _FUSE_ASSIGN = re.compile(r"^( *)(c\d+_(?:r\d+|cy|pr)|m\d+|_t) = (.*)$")
 _FUSE_NAME = re.compile(r"c\d+_(?:r\d+|cy|pr)|m\d+|_t")
 _FUSE_IDENT = re.compile(r"[A-Za-z_]\w*")
+_FUSE_TOKEN = re.compile(r"\w+")
 _FUSE_PURE_WORDS = frozenset(("if", "else"))
 _FUSE_MAX_EXPR = 300
 
 
 def _fuse(body: list[str]) -> list[str]:
-    """Fold single-use register definitions into their use site.
+    r"""Fold single-use register definitions into their use site.
 
     Netlist-derived schedules reuse register slots heavily, so most ALU
     results are written, read exactly once, and clobbered - a separate
@@ -781,11 +783,28 @@ def _fuse(body: list[str]) -> list[str]:
     constant kept only for a writeback that a later write supersedes)
     and is deleted outright.  Deletions expose new single-use chains -
     notably ``_t``-based AddCarry triples collapsing to one statement
-    once their carry-out proves dead - so the pass runs to a fixpoint.
+    once their carry-out proves dead - so the pass runs to a fixpoint
+    (at most four rounds).
 
     Values consumed inside the priv core's abort writeback blocks count
     as uses like any other line, so prefix semantics at a mid-Vcycle
     ``$finish`` are preserved without special cases.
+
+    Every question is answered from position indices, never by
+    rescanning the stream.  Each statement is tokenised once with
+    ``\w+`` - exactly the runs a ``\bT\b`` search matches - into a
+    per-line token ``Counter``; ``uses[name]`` and ``defs[name]`` are
+    sorted line lists.  For candidate ``i`` the window end is the next
+    def of ``T`` (bisect), the use count is summed over ``uses[T]``
+    inside the window (stopping once it passes 1), and each operand's
+    next def is one bisect.  A substitution moves line ``i``'s token
+    counts onto the use line, which joins ``uses[name]`` only for names
+    its ``Counter`` has no key for yet - a count that drops to zero
+    keeps its key, so a name that comes back is never listed twice.
+    Lines only die as candidates, so after the lists are compacted at
+    the start of a round no forward scan meets a dead line.  A round
+    costs O(statements x log) plus the windows actually walked, where
+    the rescanning pass it replaced was quadratic in the body length.
     """
     n = len(body)
     indents: list[str | None] = [None] * n
@@ -797,10 +816,28 @@ def _fuse(body: list[str]) -> list[str]:
             indents[idx], lhs[idx], rhs[idx] = m.groups()
         else:
             rhs[idx] = line  # guards, calls, yields: count uses whole
+    counts = [Counter(_FUSE_TOKEN.findall(text)) for text in rhs]
+    uses: dict[str, list[int]] = {}
+    defs: dict[str, list[int]] = {}
+    for idx in range(n):
+        for tok in counts[idx]:
+            uses.setdefault(tok, []).append(idx)
+        if lhs[idx] is not None:
+            defs.setdefault(lhs[idx], []).append(idx)
     dead = [False] * n
+
+    def next_def(name: str, after: int) -> int:
+        lines = defs.get(name, ())
+        k = bisect_right(lines, after)
+        return lines[k] if k < len(lines) else n
+
     changed = True
     rounds = 0
     while changed and rounds < 4:
+        if rounds:  # drop the lines the previous round deleted
+            for index in (uses, defs):
+                for lines in index.values():
+                    lines[:] = [x for x in lines if not dead[x]]
         changed = False
         rounds += 1
         for i in range(n):
@@ -818,37 +855,43 @@ def _fuse(body: list[str]) -> list[str]:
             if not all(w in _FUSE_PURE_WORDS or _FUSE_NAME.fullmatch(w)
                        for w in idents):
                 continue
-            pat = re.compile(rf"\b{t}\b")
+            end = next_def(t, i)
+            if end == n:
+                continue  # never redefined: the value survives the body
+            t_uses = uses.get(t, ())
+            k = bisect_right(t_uses, i)
             cnt = 0
             use = -1
-            closed = False
-            for j in range(i + 1, n):
-                if dead[j]:
-                    continue
-                hits = len(pat.findall(rhs[j]))
+            while k < len(t_uses) and t_uses[k] <= end:
+                hits = counts[t_uses[k]][t]
                 if hits:
                     cnt += hits
                     if cnt > 1:
                         break
-                    use = j
-                if lhs[j] == t:
-                    closed = True  # redefined: the value window ends
-                    break
-                if cnt == 0 and lhs[j] in idents:
-                    break  # an operand is clobbered before the use
-            if not closed:
+                    use = t_uses[k]
+                k += 1
+            if cnt > 1:
                 continue
+            # An operand reassigned before the use (or, for a dead
+            # store, before the redefinition) blocks the move.
+            bound = use if cnt else end
+            if any(next_def(w, i) < bound for w in idents if w != t):
+                continue
+            dead[i] = True
+            changed = True
             if cnt == 0:
-                dead[i] = True  # dead store
-                changed = True
-            elif cnt == 1:
-                new_rhs = pat.sub(lambda _m: f"({expr})", rhs[use],
-                                  count=1)
-                rhs[use] = new_rhs
-                body[use] = (f"{indents[use]}{lhs[use]} = {new_rhs}"
-                             if lhs[use] is not None else new_rhs)
-                dead[i] = True
-                changed = True
+                continue  # dead store
+            new_rhs = re.sub(rf"\b{t}\b", lambda _m: f"({expr})", rhs[use],
+                             count=1)
+            rhs[use] = new_rhs
+            body[use] = (f"{indents[use]}{lhs[use]} = {new_rhs}"
+                         if lhs[use] is not None else new_rhs)
+            into = counts[use]
+            into[t] -= 1
+            for tok, hits in counts[i].items():
+                if tok not in into:
+                    insort(uses.setdefault(tok, []), use)
+                into[tok] += hits
     return [line for idx, line in enumerate(body) if not dead[idx]]
 
 
@@ -1298,27 +1341,42 @@ def _cache_dir() -> str | None:
                         "repro-codegen")
 
 
+def _source_header(source: bytes) -> bytes:
+    return b"# sha256:" + hashlib.sha256(source).hexdigest().encode()
+
+
 def _load_cached_source(key: str) -> str | None:
+    """The cached source for ``key``, or ``None`` on a miss.
+
+    An entry is ``# sha256:<hex>`` over the source bytes, a newline, and
+    the source.  A missing or mismatched header - a torn write, a
+    flipped bit, an entry from before the header existed - is a miss:
+    the caller re-emits and overwrites it, so nothing unverified is
+    ever ``exec``'d."""
     cache = _cache_dir()
     if cache is None:
         return None
     try:
-        with open(os.path.join(cache, f"{key}.py"),
-                  encoding="utf-8") as fh:
-            return fh.read()
+        with open(os.path.join(cache, f"{key}.py"), "rb") as fh:
+            data = fh.read()
     except OSError:
         return None
+    header, _, source = data.partition(b"\n")
+    if header != _source_header(source):
+        return None
+    return source.decode("utf-8")
 
 
 def _store_cached_source(key: str, source: str) -> None:
     cache = _cache_dir()
     if cache is None:
         return
+    data = source.encode("utf-8")
     try:  # best effort: a read-only cache dir must never fail a compile
         os.makedirs(cache, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(source)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_source_header(data) + b"\n" + data)
         os.replace(tmp, os.path.join(cache, f"{key}.py"))
     except OSError:
         pass

@@ -7,13 +7,15 @@ a module, and - once verified against one strict Vcycle - trusted for
 the rest of the run.  None of that may change anything observable.
 This file enforces bit-identity over the whole design registry, that
 the trusted kernel actually runs (no vacuous pass), that the exec
-module cache skips re-emission on warm starts, and that
+module cache skips re-emission on warm starts and re-emits a damaged
+entry, that the emitted source stays pinned byte for byte, and that
 checkpoint/restore re-binds kernels without losing state.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.designs import DESIGNS
 from repro.machine import Machine, MachineConfig
 from repro.machine import codegen as cg
 from repro.obs import Profiler
+from repro.workloads import build_workload, load_workloads
 
 CONFIG = MachineConfig(grid_x=8, grid_y=8)
 
@@ -141,6 +144,89 @@ def test_codegen_source_cache_warm_start(tmp_path, monkeypatch):
     warm_r = warm_m.run(budget)
     assert cg.EMISSIONS == before + 1, "warm start re-emitted source"
     _assert_same(cold_m, cold_r, warm_m, warm_r)
+
+
+def _flip_byte(data: bytes) -> bytes:
+    mid = len(data) // 2
+    return data[:mid] + bytes([data[mid] ^ 0x01]) + data[mid + 1:]
+
+
+@pytest.mark.parametrize("damage", [
+    _flip_byte,
+    lambda data: data[:len(data) // 2],
+    lambda data: data.partition(b"\n")[2],  # pre-header entry format
+], ids=["flipped-byte", "truncated", "headerless"])
+def test_codegen_damaged_cache_entry_is_re_emitted(tmp_path, monkeypatch,
+                                                   damage):
+    """A cache entry whose ``# sha256:`` header does not match its
+    source is a miss: the kernel is emitted again, the entry is
+    overwritten, and the run is bit-identical to the cold one."""
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))
+    monkeypatch.setattr(cg, "_MEMO", {})
+    monkeypatch.setattr(cg, "_KEYS", {})
+
+    name = "jpeg"
+    budget = _budget(name)
+    cold_m = Machine(_program(name), CONFIG, engine="codegen")
+    cold_r = cold_m.run(budget)
+    (entry,) = tmp_path.glob("*.py")
+    good = entry.read_bytes()
+    entry.write_bytes(damage(good))
+
+    monkeypatch.setattr(cg, "_MEMO", {})
+    monkeypatch.setattr(cg, "_KEYS", {})
+    before = cg.EMISSIONS
+    warm_m = Machine(_program(name), CONFIG, engine="codegen")
+    warm_r = warm_m.run(budget)
+    assert cg.EMISSIONS == before + 1, "damaged entry was exec'd"
+    assert entry.read_bytes() == good, "damaged entry not overwritten"
+    _assert_same(cold_m, cold_r, warm_m, warm_r)
+
+
+# sha256 of the emitted kernel source at 8x8, taken with the rescanning
+# fusion pass the indexed one replaced.  Any change to emission - not
+# only to fusion - moves these; re-pin only for a deliberate change.
+SOURCE_PINS = {
+    "bc":
+        "d96f3d9b7415079066162edcb923eb6d81de964f669f017efe7e1ebdb8a4ca51",
+    "blur":
+        "0d298c24e4de82326524d7d07e9e8243f9196b47de4108510247709eb77dde2b",
+    "cgra":
+        "7d6446b5946497c3bce9808a6856e61de84e0512ccb50707707021d34b565294",
+    "jpeg":
+        "e5553554f8380030e3ed687e7bddf62d66339317d79e247f661f6b2d067e5f35",
+    "mc":
+        "8f982290538bfd87cbdd92adfd390dd902b2d123cea849e95c06ccf73b2a6cc2",
+    "mm":
+        "74cb372582129833e0d35e4efa068ce3bad58370ece7a6a1d1672444505dd064",
+    "noc":
+        "6d68b3cc8ba04f9ae0bfa61629fa6e77bbc4b6c2d49d517d0f8ad431d2b5f215",
+    "rv32r":
+        "0c7bf0b94d0e73d34af4cf5d3c6efde82f48f2c0774214014aa6af33250666c2",
+    "vta":
+        "ad4528fc23f195c22abd103b822b9e2caa05febbd200b19e2a536847a92c84e6",
+    "fuzz-1":
+        "48d6190857c2b5f42f110c951fb9c673e936475c78694c1ed9c2b591dfe109b2",
+    "fuzz-3":
+        "a1949b9aeaac9cba6f983794302d02f520c58dca1866361dc2bc8d79154b749e",
+    "fuzz-5":
+        "762e4aa1e1386983d6fbe231f9912d690e0abdb3ab5092d2eb1a42083879c080",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_program(name: str):
+    circuit = build_workload(load_workloads()[name])
+    return compile_circuit(circuit, CompilerOptions(config=CONFIG)).program
+
+
+@pytest.mark.parametrize("name", sorted(SOURCE_PINS))
+def test_emitted_source_is_pinned(name):
+    program = (_program(name) if name in DESIGNS
+               else _corpus_program(name))
+    machine = Machine(program, CONFIG)
+    source = cg._emit(machine, cg._analyze(machine))
+    assert hashlib.sha256(source.encode()).hexdigest() == SOURCE_PINS[name]
 
 
 def test_codegen_cache_can_be_disabled(tmp_path, monkeypatch):
