@@ -15,22 +15,26 @@ Method, mirroring the paper:
    outside the cone);
 4. group candidate cones by the function they compute - logical
    equivalence up to input permutation, checked on the 256-bit truth
-   table;
+   table.  The table is bit-sliced: inputs and constants become 256-bit
+   ints holding all 16 rows at every bit position, so one pass of
+   Python ``&``/``|``/``^`` over the cone yields the whole config.  The
+   canonical (smallest) config over input orders is then found by
+   remapping the rows of the table's distinct 16-bit lanes through a
+   precomputed table per permutation - no re-evaluation;
 5. select a non-overlapping subset maximizing instruction savings, with
    at most 32 distinct functions per core, via MILP
-   (``scipy.optimize.milp``) with a greedy fallback.
+   (``scipy.optimize.milp``) with a greedy fallback; numpy and scipy are
+   imported only there, so the greedy selector needs neither.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..isa import instructions as isa
 from ..isa.program import Process, ProgramImage
-from ..isa.semantics import eval_alu
 
 LOGIC_OPS = {"AND", "OR", "XOR"}
 MAX_CUT_INPUTS = 4
@@ -82,45 +86,96 @@ class CustomSynthesisResult:
         return 100.0 * (before - self.instructions_after) / before
 
 
-def _evaluate_cone(body: list[isa.Instruction], cone_order: list[int],
-                   assignment: dict[str, int], root: int) -> int:
-    values = dict(assignment)
-    for i in cone_order:
+#: Bit-sliced truth tables hold one 16-bit lane per bit position: bit
+#: ``pos*16 + row`` is output bit ``pos`` when CFU input ``i`` carries
+#: bit ``(row >> i) & 1`` at every position - the CFU config layout.
+_REP = sum(1 << (16 * pos) for pos in range(16))
+#: Input ``i``'s table: row ``r`` reads ``(r >> i) & 1`` in every lane.
+_INPUT_TABLES = tuple(pattern * _REP
+                      for pattern in (0xAAAA, 0xCCCC, 0xF0F0, 0xFF00))
+_SLICED_OPS = {"AND": operator.and_, "OR": operator.or_, "XOR": operator.xor}
+
+
+class _SlicedConsts(dict):
+    """A process's ``$c...`` registers as bit-sliced tables, built on
+    first read; ``raw`` keeps the plain values.  Reading anything else
+    raises ``KeyError``."""
+
+    def __init__(self, raw: dict[str, int]) -> None:
+        super().__init__()
+        self.raw = raw
+
+    def __missing__(self, reg: str) -> int:
+        value = self.raw[reg] & 0xFFFF
+        table = 0
+        for pos in range(16):
+            if (value >> pos) & 1:
+                table |= 0xFFFF << (16 * pos)
+        self[reg] = table
+        return table
+
+
+def _cone_table(body: list[isa.Instruction], cone: frozenset[int],
+                inputs: tuple[str, ...], consts: _SlicedConsts,
+                root: int) -> int:
+    """The cone's 256-bit truth table with ``inputs[i]`` on CFU input
+    ``i``: one pass over the cone on bit-sliced operands (cones are
+    AND/OR/XOR only, so all 16 rows evaluate at once)."""
+    values = dict(zip(inputs, _INPUT_TABLES))
+    for i in sorted(cone):
         instr = body[i]
         assert isinstance(instr, isa.Alu)
-        a = values[instr.rs1]
-        b = values[instr.rs2]
-        values[instr.rd] = eval_alu(instr.op, a, b)
+        a = values[instr.rs1] if instr.rs1 in values else consts[instr.rs1]
+        b = values[instr.rs2] if instr.rs2 in values else consts[instr.rs2]
+        values[instr.rd] = _SLICED_OPS[instr.op](a, b)
     return values[body[root].rd]  # type: ignore[union-attr]
 
 
-def _cone_config(body: list[isa.Instruction], cone: frozenset[int],
-                 inputs: tuple[str, ...], consts: dict[str, int],
-                 root: int) -> int:
-    """256-bit truth table: row r of position p = output bit p when input
-    i carries bit (r >> i) & 1 at every position."""
-    cone_order = sorted(cone)
-    config = 0
-    for row in range(16):
-        assignment = dict(consts)
-        for i, reg in enumerate(inputs):
-            assignment[reg] = 0xFFFF if (row >> i) & 1 else 0
-        word = _evaluate_cone(body, cone_order, assignment, root)
-        for pos in range(16):
-            if (word >> pos) & 1:
-                config |= 1 << (pos * 16 + row)
-    return config
+def _row_remaps(k: int) -> list[tuple[tuple[int, ...], list[int], list[int]]]:
+    """``(perm, lo, hi)`` for every permutation of ``range(k)`` in
+    ``itertools.permutations`` order.  Putting ``inputs[perm[j]]`` on CFU
+    input ``j`` moves row ``s`` of a 16-bit lane to row ``(s & high) |
+    sum(((s >> perm[j]) & 1) << j)``; rows with bits at or above ``k`` pass
+    through because the table repeats there.  ``lo[b] | hi[b']`` is the
+    remapped lane of ``b | b' << 8``."""
+    high = 0xF & ~((1 << k) - 1)
+    remaps = []
+    for perm in itertools.permutations(range(k)):
+        dest = [(s & high) | sum(((s >> p) & 1) << j
+                                 for j, p in enumerate(perm))
+                for s in range(16)]
+        lo, hi = [0] * 256, [0] * 256
+        for b in range(1, 256):
+            low = (b & -b).bit_length() - 1
+            lo[b] = lo[b & (b - 1)] | (1 << dest[low])
+            hi[b] = hi[b & (b - 1)] | (1 << dest[low + 8])
+        remaps.append((perm, lo, hi))
+    return remaps
+
+
+#: Row remaps per input count: 1 + 1 + 2 + 6 + 24 entries.
+_REMAPS = tuple(_row_remaps(k) for k in range(MAX_CUT_INPUTS + 1))
 
 
 def _canonicalize(body, cone, inputs, consts, root) -> tuple[int, tuple]:
-    """Minimum config over input permutations (logic equivalence class)."""
+    """Minimum config over input permutations (logic equivalence class).
+
+    The cone is evaluated once; each permutation remaps the rows of the
+    table's distinct 16-bit lanes.  Ties keep the first permutation."""
+    table = _cone_table(body, cone, inputs, consts, root)
+    lanes: dict[int, int] = {}  # distinct lane -> its positions, as REP bits
+    for pos in range(16):
+        lane = (table >> (16 * pos)) & 0xFFFF
+        lanes[lane] = lanes.get(lane, 0) | (1 << (16 * pos))
     best_config = None
     best_inputs = inputs
-    for perm in itertools.permutations(inputs):
-        config = _cone_config(body, cone, perm, consts, root)
+    for perm, lo, hi in _REMAPS[len(inputs)]:
+        config = 0
+        for lane, positions in lanes.items():
+            config |= (lo[lane & 0xFF] | hi[lane >> 8]) * positions
         if best_config is None or config < best_config:
             best_config = config
-            best_inputs = perm
+            best_inputs = tuple(inputs[i] for i in perm)
     return best_config or 0, best_inputs
 
 
@@ -138,8 +193,8 @@ def _enumerate_candidates(proc: Process) -> list[Candidate]:
         i for i, instr in enumerate(body)
         if isinstance(instr, isa.Alu) and instr.op in LOGIC_OPS
     }
-    consts = {reg: proc.reg_init[reg] for reg in proc.reg_init
-              if _is_const(reg)}
+    consts = _SlicedConsts({reg: proc.reg_init[reg]
+                            for reg in proc.reg_init if _is_const(reg)})
 
     # Cut enumeration, bottom-up in body order (bodies are topological).
     cuts: dict[int, list[frozenset[str]]] = {}
@@ -235,6 +290,7 @@ def _select_milp(candidates: list[Candidate],
                  max_functions: int) -> list[Candidate] | None:
     """Exact selection via scipy MILP; None when unavailable/failed."""
     try:
+        import numpy as np
         from scipy.optimize import LinearConstraint, Bounds, milp
     except ImportError:  # pragma: no cover
         return None

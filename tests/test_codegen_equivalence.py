@@ -8,8 +8,9 @@ the rest of the run.  None of that may change anything observable.
 This file enforces bit-identity over the whole design registry, that
 the trusted kernel actually runs (no vacuous pass), that the exec
 module cache skips re-emission on warm starts and re-emits a damaged
-entry, that the emitted source stays pinned byte for byte, and that
-checkpoint/restore re-binds kernels without losing state.
+entry, that the emitted source and the compiled programs stay pinned
+byte for byte, and that checkpoint/restore re-binds kernels without
+losing state.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.compiler import CompilerOptions, compile_circuit
 from repro.designs import DESIGNS
 from repro.machine import Machine, MachineConfig
 from repro.machine import codegen as cg
+from repro.machine.boot import serialize
 from repro.obs import Profiler
 from repro.workloads import build_workload, load_workloads
 
@@ -227,6 +229,36 @@ def test_emitted_source_is_pinned(name):
     machine = Machine(program, CONFIG)
     source = cg._emit(machine, cg._analyze(machine))
     assert hashlib.sha256(source.encode()).hexdigest() == SOURCE_PINS[name]
+
+
+#: sha256 of ``serialize(program)`` for every design at small/8x8: the
+#: compiler's output itself, pinned beside the emitted kernel sources.
+PROGRAM_PINS = {
+    "bc":
+        "b5d010baf2b461c665ea73cc7cef5f17ee75cea6192bed04d22230d8ada8963b",
+    "blur":
+        "4dbcc5797b3eb170a4e8b2abd84551121cc5c61d646d9e6e903b4b75b953fba8",
+    "cgra":
+        "d6d83f722415676af7277cf19fa16fd07b9decc7426ade8df304525dc707fdf1",
+    "jpeg":
+        "8f92b05eef275a7ad2be719b8a1791ed5376cf4040a6cb2e5266bb9a15859bae",
+    "mc":
+        "497e3e89dde2801057a497e13d90dc8bbc6631226d6ef19904f9129aa9950bd7",
+    "mm":
+        "714f6fddb4241c9075026c9353edeaf9b81bd2adffd2e4dc4d56895ba296ad3f",
+    "noc":
+        "8486c9c40b6ac18136f02bb6447699ddbbebb984e8c91c9f2a7bba0d55ef0a02",
+    "rv32r":
+        "72cde2516f643035e703cef38b463be0dd31e602b4dac0a961d54a60ecc6d70c",
+    "vta":
+        "19deeb6746b4edf592d24d34e816abe936467264bb905168c252c666a4c976b2",
+}
+
+
+@pytest.mark.parametrize("name", ALL_DESIGNS)
+def test_compiled_program_is_pinned(name):
+    digest = hashlib.sha256(serialize(_program(name))).hexdigest()
+    assert digest == PROGRAM_PINS[name]
 
 
 def test_codegen_cache_can_be_disabled(tmp_path, monkeypatch):

@@ -167,3 +167,47 @@ class TestEndToEnd:
         args = [env[r] for r in customs[0].rs]
         assert eval_custom(config, *args) == \
             (env["a"] & env["b"]) ^ env["c"]
+
+
+#: Compile and run with ``import numpy`` failing: the greedy selector
+#: and the strict engine must not need it.
+_NO_NUMPY = """
+import sys
+
+class _BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(name + " is blocked")
+        return None
+
+sys.meta_path.insert(0, _BlockNumpy())
+from repro.compiler import CompilerOptions, compile_circuit
+from repro.fuzz.generator import logic_heavy_circuit
+from repro.machine import Machine, MachineConfig
+
+config = MachineConfig(grid_x=4, grid_y=4)
+result = compile_circuit(logic_heavy_circuit(), CompilerOptions(
+    config=config, custom_selector="greedy"))
+assert result.report.custom.instructions_after < \\
+    result.report.custom.instructions_before
+run = Machine(result.program, config, engine="strict").run(10_000)
+assert run.finished, run.vcycles
+assert "numpy" not in sys.modules
+print("ok")
+"""
+
+
+def test_greedy_compile_and_strict_run_without_numpy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _NO_NUMPY], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
