@@ -71,6 +71,11 @@ class OracleSpec:
     #: compiling, and check the re-parse reaches a structural fixed
     #: point - differential coverage for every emitted grammar form.
     verilog_roundtrip: bool = False
+    #: Run every trusted Vcycle on the codegen engine's native C tier
+    #: (:mod:`repro.machine.native`), built synchronously before the
+    #: first one instead of after ``NATIVE_AFTER_VCYCLES`` in the
+    #: background; without a C compiler the Python kernel runs.
+    native: bool = False
 
     def describe(self) -> str:
         parts = [self.kind, self.engine]
@@ -85,6 +90,8 @@ class OracleSpec:
             parts.append(f"verify={self.verify_vcycles}")
         if self.verilog_roundtrip:
             parts.append("verilog-roundtrip")
+        if self.native:
+            parts.append("native")
         if self.fault:
             parts.append(f"fault={self.fault}")
         return f"{self.name} ({', '.join(parts)})"
@@ -93,12 +100,12 @@ class OracleSpec:
 def _machine(name: str, engine: str = "strict", fault: str | None = None,
              through_cache: bool = False, profiled: bool = False,
              checkpoint: bool = False, verify_vcycles: int | None = None,
-             verilog_roundtrip: bool = False,
+             verilog_roundtrip: bool = False, native: bool = False,
              **options) -> OracleSpec:
     return OracleSpec(name, "machine", engine,
                       tuple(sorted(options.items())), fault, through_cache,
                       profiled, checkpoint, verify_vcycles,
-                      verilog_roundtrip)
+                      verilog_roundtrip, native)
 
 
 #: Registry of every known oracle.  ``golden`` (the strict interpreter)
@@ -125,6 +132,7 @@ ORACLES: dict[str, OracleSpec] = {
                  verify_vcycles=0),
         _machine("machine-codegen-ckpt", engine="codegen",
                  checkpoint=True),
+        _machine("machine-codegen-native", engine="codegen", native=True),
         _machine("machine-verilog-roundtrip", verilog_roundtrip=True),
         # Fault-injection oracles: deliberately wrong semantics used by
         # the self-tests and as live demos of a failing replay.
@@ -140,7 +148,8 @@ MATRICES: dict[str, tuple[str, ...]] = {
     "engines": ("interp-fast", "baseline-serial", "machine-strict",
                 "machine-fast", "machine-fast-profiled",
                 "machine-fast-ckpt", "machine-codegen",
-                "machine-codegen-trust0", "machine-codegen-ckpt"),
+                "machine-codegen-trust0", "machine-codegen-ckpt",
+                "machine-codegen-native"),
     "full": ("interp-fast", "baseline-serial", "machine-strict",
              "machine-fast", "machine-strict-nomem2reg",
              "machine-strict-nocoalesce", "machine-strict-lpt",
@@ -314,6 +323,9 @@ class _NullContext:
 
 
 def _context_for(spec: OracleSpec):
+    if spec.native:
+        from ..machine.native import forced
+        return forced()
     if spec.fault is None:
         return _NullContext()
     from ..machine.grid import COMPILED_ENGINES

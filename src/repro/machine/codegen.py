@@ -29,6 +29,11 @@ and machine config (in-process, plus an optional on-disk source cache at
 ``$REPRO_CODEGEN_CACHE`` / ``~/.cache/repro-codegen``), so warm runs
 skip emission entirely.
 
+Once a program has run enough trusted Vcycles in a process, the same
+emitted kernel is translated to C and run natively
+(:mod:`repro.machine.native`); without a C compiler, or for a kernel
+the translator cannot prove safe, this Python kernel keeps running.
+
 Correctness rides the same rails as the fast engine: the
 verify-once-then-trust protocol (strict Vcycles first, compiled trace
 only after clean verification, re-verification after every exception),
@@ -55,6 +60,7 @@ from typing import TYPE_CHECKING
 from ..isa import instructions as isa
 from ..isa.instructions import WORD_MASK, WORD_WIDTH
 from ..isa.semantics import ALU_OPS, eval_custom
+from . import native
 from .fastpath import FastpathUnsupported
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,6 +87,17 @@ EMISSIONS = 0
 #: Emitted modules are state-free (``make_kernel`` binds a machine at
 #: call time), so one namespace serves any number of machines.
 _MEMO: dict[str, dict] = {}
+
+#: Trusted Vcycles the Python kernel of each content key ran in this
+#: process; the native tier (:mod:`repro.machine.native`) starts its
+#: build once this reaches ``native.NATIVE_AFTER_VCYCLES``.  Updated
+#: without a lock: a count lost to a race between server threads only
+#: delays a build.
+_TRUSTED: dict[str, int] = {}
+
+#: Python-kernel Vcycles per bulk call while a native build is in
+#: flight, so the switch happens soon after the build lands.
+_PENDING_CHUNK = 256
 
 
 class CodegenUnsupported(FastpathUnsupported):
@@ -1382,14 +1399,15 @@ def _store_cached_source(key: str, source: str) -> None:
         pass
 
 
-def _compiled_for(machine: "Machine") -> tuple[dict, _Plan]:
+def _compiled_for(machine: "Machine",
+                  key: str | None = None) -> tuple[dict, _Plan]:
     """Namespace + plan for ``machine``, memoized under the content key.
 
     The plan is pure static metadata (positions, counts, thresholds), so
     two machines running the same program under the same config share
     one analysis and one exec'd module.
     """
-    key = _content_key(machine)
+    key = key or _content_key(machine)
     hit = _MEMO.get(key)
     if hit is not None:
         return hit
@@ -1435,7 +1453,8 @@ class CodegenEngine:
 
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
-        ns, plan = _compiled_for(machine)
+        self._key = _content_key(machine)
+        ns, plan = _compiled_for(machine, self._key)
         self._plan = plan
         self._make_kernel = ns["make_kernel"]
         self._msgs = [0] * plan.n_msgs
@@ -1450,60 +1469,71 @@ class CodegenEngine:
             (machine.cores[cid], ns[f"_stop_recv_{cid}"])
             for cid in sorted(machine.cores)
             if cid != priv and f"_stop_recv_{cid}" in ns]
+        #: The live native kernel (:mod:`repro.machine.native`) once this
+        #: engine switched to it; the Python generator is retired then.
+        self._native: native.NativeKernel | None = None
+        #: Why the native tier will not run here (no ``cc``, an
+        #: unsupported construct, a build failure...) - the counterpart
+        #: of ``Machine._fastpath_error``; ``None`` while it may still.
+        self.native_error: str | None = None
+        #: Vcycles the native tier executed on this machine.
+        self.native_vcycles = 0
 
     # ------------------------------------------------------------------
-    def run_vcycle(self) -> None:
-        """Execute one full Vcycle through the emitted kernel."""
-        machine = self.machine
+    def _native_budget(self, budget: int) -> int:
+        """Switch to the native kernel at this Vcycle boundary if it is
+        built; otherwise cap the Python kernel's ``budget`` so the next
+        boundary looks again once a build may start or land."""
+        key = self._key
+        trusted = _TRUSTED.get(key, 0)
+        got = native.request(key, trusted, self._native_source,
+                             self._native_layout)
+        if got is None:
+            left = native.threshold() - trusted
+            return min(budget, left if left > 0 else _PENDING_CHUNK)
+        if isinstance(got, str):
+            self.native_error = got
+            return budget
+        self.sync()     # the Python kernel's frame locals -> the cores
+        self._native = native.NativeKernel(got, self.machine, self._msgs)
+        return budget
+
+    def _native_source(self) -> str:
+        return (_load_cached_source(self._key)
+                or _emit(self.machine, self._plan))
+
+    def _native_layout(self):
+        lengths = {}
+        for cid, core in self.machine.cores.items():
+            lengths[(cid, "regs")] = len(core.regs)
+            if core.scratch is not None:
+                lengths[(cid, "scratch")] = len(core.scratch)
+        return lengths, self._plan.n_msgs
+
+    def _step(self, budget: int) -> tuple[int, int]:
+        """Run up to ``budget`` trusted Vcycles on the current tier;
+        returns ``(clean, code)``: the clean Vcycles run and the yield
+        code of the last one (``-1`` when all were clean)."""
+        if self._native is None and self.native_error is None:
+            budget = self._native_budget(budget)
+        kernel = self._native
+        if kernel is not None:
+            try:
+                code, clean = kernel.run(min(budget, native.CHUNK_VCYCLES))
+            except native.NativeUnsupported as exc:
+                # A hydrate found state outside the proven ranges.
+                self.native_error = str(exc)
+                self._native = None
+            else:
+                self.native_vcycles += clean + (code != -1)
+                return clean, code
         gen = self._gen
         if gen is None:
             # (Re)hydrate: the preamble reloads every touched register
             # from the cores, so a fresh kernel picks up exactly where
             # the strict engine (or a restored checkpoint) left off.
-            gen = self._make_kernel(machine, machine.cores, self._msgs,
-                                    self._park)()
-            self._gen = gen
-        try:
-            code = next(gen)
-        except BaseException:
-            self._gen = None
-            raise
-        counters = machine.counters
-        prof = machine.profiler
-        plan = self._plan
-        if code >= 0:
-            self._gen = None
-            self._finish_abort(code)
-        else:
-            if code == -2:
-                self._gen = None
-            counters.instructions += plan.n_instr
-            counters.messages += plan.n_msgs
-            if prof is not None:
-                prof.add_vcycle_bulk(plan.core_instr, plan.core_sends,
-                                     plan.core_recvs, plan.link_hops)
-        counters.vcycles += 1
-        counters.compute_cycles += machine.program.vcpl
-        machine.now = 0
-
-    def run_vcycles(self, budget: int) -> None:
-        """Trusted bulk loop: run up to ``budget`` Vcycles through the
-        kernel with a single counter settlement at the end.
-
-        Returns at budget exhaustion or after the first non-clean
-        Vcycle (an exception-serviced Vcycle or a mid-Vcycle
-        ``$finish``), both already fully handled; the caller re-enters
-        while trust and budget remain.  Only called without a profiler
-        attached - per-Vcycle profiles need :meth:`run_vcycle`'s
-        step-by-step bookkeeping.
-        """
-        if budget <= 0:
-            return
-        machine = self.machine
-        gen = self._gen
-        if gen is None:
-            gen = self._make_kernel(machine, machine.cores, self._msgs,
-                                    self._park)()
+            gen = self._make_kernel(self.machine, self.machine.cores,
+                                    self._msgs, self._park)()
             self._gen = gen
         nxt = gen.__next__
         clean = 0
@@ -1517,11 +1547,51 @@ class CodegenEngine:
         except BaseException:
             self._gen = None
             raise
+        if code != -1:
+            self._gen = None
+        _TRUSTED[self._key] = _TRUSTED.get(self._key, 0) + clean + (
+            code != -1)
+        return clean, code
+
+    def run_vcycle(self) -> None:
+        """Execute one full Vcycle through the emitted kernel."""
+        machine = self.machine
+        _clean, code = self._step(1)
+        counters = machine.counters
+        prof = machine.profiler
+        plan = self._plan
+        if code >= 0:
+            self._finish_abort(code)
+        else:
+            counters.instructions += plan.n_instr
+            counters.messages += plan.n_msgs
+            if prof is not None:
+                prof.add_vcycle_bulk(plan.core_instr, plan.core_sends,
+                                     plan.core_recvs, plan.link_hops)
+        counters.vcycles += 1
+        counters.compute_cycles += machine.program.vcpl
+        machine.now = 0
+
+    def run_vcycles(self, budget: int) -> None:
+        """Trusted bulk loop: run up to ``budget`` Vcycles through the
+        kernel with a single counter settlement at the end.
+
+        Returns at budget exhaustion, after the first non-clean
+        Vcycle (an exception-serviced Vcycle or a mid-Vcycle
+        ``$finish``), both already fully handled, or early at a tier
+        boundary (a native call's chunk, a pending native build); the
+        caller re-enters while trust and budget remain.  Only called
+        without a profiler attached - per-Vcycle profiles need
+        :meth:`run_vcycle`'s step-by-step bookkeeping.
+        """
+        if budget <= 0:
+            return
+        machine = self.machine
+        clean, code = self._step(budget)
         plan = self._plan
         counters = machine.counters
         vcpl = machine.program.vcpl
         if code >= 0:
-            self._gen = None
             counters.instructions += clean * plan.n_instr
             counters.messages += clean * plan.n_msgs
             counters.vcycles += clean + 1
@@ -1529,8 +1599,6 @@ class CodegenEngine:
             self._finish_abort(code)
         else:
             full = clean + (1 if code == -2 else 0)
-            if code == -2:
-                self._gen = None
             counters.instructions += full * plan.n_instr
             counters.messages += full * plan.n_msgs
             counters.vcycles += full
@@ -1568,6 +1636,9 @@ class CodegenEngine:
         kernel (observers - ``peek_reg``, checkpoints, the end of a
         ``run`` - see architectural state; the next trusted Vcycle
         rehydrates a fresh kernel from it)."""
+        if self._native is not None:
+            self._native.sync()
+            return
         gen = self._gen
         if gen is None:
             return
@@ -1580,6 +1651,9 @@ class CodegenEngine:
     def invalidate(self) -> None:
         """Drop the live kernel *without* flushing (the cores are about
         to be overwritten, e.g. by a checkpoint restore)."""
+        if self._native is not None:
+            self._native.invalidate()
+            return
         gen = self._gen
         self._gen = None
         if gen is not None:

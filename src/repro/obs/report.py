@@ -63,7 +63,11 @@ class ProfiledRun:
         return prometheus_textfile(self.profile)
 
     def render(self) -> str:
-        return render_report(self.profile)
+        # Only the codegen engine has a native tier to report.
+        engine = getattr(self.machine, "_fastpath", None)
+        return render_report(
+            self.profile,
+            native_vcycles=getattr(engine, "native_vcycles", None))
 
 
 def profile_circuit(circuit, name: str | None = None, engine: str = "fast",
@@ -214,8 +218,10 @@ def _switch_grid(profile: dict) -> list[list[int]]:
     return grid
 
 
-def render_report(profile: dict) -> str:
-    """The terminal bottleneck report for one profiled run."""
+def render_report(profile: dict, native_vcycles: int | None = None) -> str:
+    """The terminal bottleneck report for one profiled run;
+    ``native_vcycles`` (codegen only) is how many Vcycles the native C
+    tier executed."""
     result = profile["result"]
     out = []
     out.append(f"=== repro profile: {profile['design']} "
@@ -223,6 +229,8 @@ def render_report(profile: dict) -> str:
                f"grid {profile['grid']['x']}x{profile['grid']['y']}) ===")
     out.append(f"status             : {result['status']}")
     out.append(f"Vcycles            : {result['vcycles']}")
+    if native_vcycles is not None:
+        out.append(f"native C tier      : {native_vcycles} Vcycles")
     total = result["compute_cycles"] + result["stall_cycles"]
     out.append(f"machine cycles     : {total} "
                f"({result['compute_cycles']} compute, "

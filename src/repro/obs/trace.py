@@ -68,6 +68,13 @@ class Tracer:
             s.end = self._clock()
             self._stack.pop()
 
+    def record(self, name: str, start: float, end: float, cat: str = "",
+               **args) -> None:
+        """Append a finished root span measured elsewhere - e.g. on a
+        background thread, which must not touch the open-span stack."""
+        self.spans.append(Span(name=name, cat=cat, start=start, end=end,
+                               args=dict(args)))
+
     # ------------------------------------------------------------------
     def children(self, index: int) -> list[int]:
         return [i for i, s in enumerate(self.spans) if s.parent == index]
