@@ -60,10 +60,10 @@ from typing import TYPE_CHECKING
 from ..isa import instructions as isa
 from ..isa.instructions import WORD_MASK, WORD_WIDTH
 from ..isa.semantics import ALU_OPS, eval_custom
-from . import native
 from .fastpath import FastpathUnsupported
 
 if TYPE_CHECKING:  # pragma: no cover
+    from . import native
     from .grid import Machine
 
 #: Bumped whenever the emitted source's semantics change; part of the
@@ -1484,6 +1484,9 @@ class CodegenEngine:
         """Switch to the native kernel at this Vcycle boundary if it is
         built; otherwise cap the Python kernel's ``budget`` so the next
         boundary looks again once a build may start or land."""
+        # Imported at the first trusted Vcycle, not with this module:
+        # emitting kernels (a warm set-up) never loads the translator.
+        from . import native
         key = self._key
         trusted = _TRUSTED.get(key, 0)
         got = native.request(key, trusted, self._native_source,
@@ -1518,15 +1521,13 @@ class CodegenEngine:
             budget = self._native_budget(budget)
         kernel = self._native
         if kernel is not None:
-            try:
-                code, clean = kernel.run(min(budget, native.CHUNK_VCYCLES))
-            except native.NativeUnsupported as exc:
-                # A hydrate found state outside the proven ranges.
-                self.native_error = str(exc)
-                self._native = None
-            else:
+            ran = kernel.run(budget)
+            if ran is not None:
+                code, clean = ran
                 self.native_vcycles += clean + (code != -1)
                 return clean, code
+            self.native_error = kernel.refused
+            self._native = None
         gen = self._gen
         if gen is None:
             # (Re)hydrate: the preamble reloads every touched register

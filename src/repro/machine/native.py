@@ -39,17 +39,20 @@ shift amount outside 0..63, a ``%`` of a possibly negative value, or an
 array index not proven inside the array's length (``x & m`` with
 ``m < len``, ``x % n`` with ``n <= len``, constants checked against the
 length) refuses the kernel, so the C code neither overflows nor reads or
-writes out of bounds, and agrees with Python's integers everywhere.  A
-16-bit store whose value is not proven in range is checked at run time
-and raises :class:`OverflowError`, exactly as ``array("H")`` does.
+writes out of bounds, and agrees with Python's integers everywhere.  So
+does a 16-bit store whose value is not proven in range: the Python
+kernel keeps running and raises :class:`OverflowError` there, exactly as
+``array("H")`` does.
 
 The C function is reentrant: all state travels through a context array
 of pointers built at each hydrate (buffer addresses are never kept
 across ``sync``, ``invalidate`` or a restore), because ``ctypes.CDLL``
 calls release the interpreter lock.  Host calls go through ctypes
-callbacks that stash any exception - ``KeyboardInterrupt`` included -
-and make the C code return at once, after which the exception is
-re-raised as itself.
+callbacks.  The C code marks each call pending and the callback clears
+the mark as its last step, so a call that did not complete - it raised
+and stashed its exception, or a signal handler raised before its
+``try`` and ctypes swallowed the exception - makes the C code return at
+once, and :meth:`NativeKernel._retire` raises again.
 
 Builds run on a background thread, are de-duplicated per content key
 and kept in a per-process memo; nothing is written to the kernel cache.
@@ -93,11 +96,11 @@ MAX_KERNEL_LINES = 40_000
 
 CC_FLAGS = ("-O0", "-fwrapv", "-shared", "-fPIC")
 CC_TIMEOUT_S = 120.0
+_NO_CC = "no C compiler: 'cc' is not on PATH"
 
-# C entry-point operations and the codes beyond the Python kernel's.
+# C entry-point operations and the code beyond the Python kernel's.
 OP_HYDRATE, OP_RUN, OP_SYNC = 0, 1, 2
-CODE_HOST_ERROR = -100      # a host callback raised; io[1] is set
-CODE_OVERFLOW = -101        # a 16-bit store out of range; io[2] says how
+CODE_HOST_ERROR = -100      # a host call did not complete: io[1] still set
 
 _WORD = (0, 0xFFFF)
 _BOUND = 1 << 62
@@ -400,7 +403,8 @@ class _Translator:
         args = [self.bounded(a, refine)[0] for a in node.args]
         name = f"h{self.tmp}"
         self.tmp += 1
-        self.pre.append(f"int64_t {name} = {role}({', '.join(args)}); "
+        self.pre.append(f"io[1] = 1; int64_t {name} = "
+                        f"{role}({', '.join(args)}); "
                         f"if (io[1]) return {CODE_HOST_ERROR};")
         return name
 
@@ -412,13 +416,12 @@ class _Translator:
         else:
             self.out.append(code)
 
-    def store16(self, target: str, value: str, rng) -> str:
-        if rng is not None and _WORD[0] <= rng[0] and rng[1] <= _WORD[1]:
-            return f"{target} = (uint16_t){value};"
-        # Not proven in range: check as array("H") does.
-        return (f"{{ int64_t v_ = {value}; if (v_ < 0 || v_ > 65535) "
-                f"{{ io[2] = v_ < 0 ? 2 : 1; return {CODE_OVERFLOW}; }} "
-                f"{target} = (uint16_t)v_; }}")
+    @staticmethod
+    def store16(target: str, value: str, rng) -> str:
+        if rng is None or rng[0] < _WORD[0] or rng[1] > _WORD[1]:
+            raise NativeUnsupported(f"cannot prove the 16-bit store "
+                                    f"{target} = ... stays in {_WORD}")
+        return f"{target} = (uint16_t){value};"
 
     def assign(self, stmt: ast.Assign, block: _Block, top: bool) -> None:
         if len(stmt.targets) != 1:
@@ -698,6 +701,9 @@ class NativeLib:
 
 _LIBS: dict[str, NativeLib | str] = {}       # content key -> lib or reason
 _BUILDS: dict[str, threading.Thread] = {}    # in-flight, per content key
+#: Finished builds' spans, (tracer, start, end, outcome) per content key,
+#: recorded by the engine thread that picks the result up.
+_SPANS: dict[str, tuple] = {}
 _LOCK = threading.Lock()
 _PROCS: set = set()                          # live cc processes
 _TMPDIRS: set[str] = set()                   # their build directories
@@ -711,7 +717,7 @@ def build(source: str, lengths: dict[tuple[int, str], int],
     :class:`NativeUnsupported` naming the reason on any failure."""
     cc = shutil.which("cc")
     if cc is None:
-        raise NativeUnsupported("no C compiler: 'cc' is not on PATH")
+        raise NativeUnsupported(_NO_CC)
     tr = translate(source, lengths, n_msgs)
     import ctypes
     with tempfile.TemporaryDirectory(prefix="repro-native-") as tmp:
@@ -747,7 +753,10 @@ def build(source: str, lengths: dict[tuple[int, str], int],
 
 
 def _build_into_memo(key: str, source: str, lengths, n_msgs: int,
-                     tracer, start: float) -> None:
+                     tracer, clock) -> None:
+    """The build thread: build, memoise the outcome, leave its span for
+    the engine thread (the tracer itself is not touched here)."""
+    start = clock()
     try:
         result: NativeLib | str = build(source, lengths, n_msgs)
         outcome = "ok"
@@ -755,13 +764,22 @@ def _build_into_memo(key: str, source: str, lengths, n_msgs: int,
         result = outcome = str(exc)
     except Exception as exc:  # noqa: BLE001 - never an engine error
         result = outcome = f"{type(exc).__name__}: {exc}"
+    end = clock()
     with _LOCK:
         _LIBS[key] = result
         _BUILDS.pop(key, None)
-    if tracer is not None:
-        end = time.perf_counter()
+        if tracer is not None:
+            _SPANS[key] = (tracer, start, end, outcome)
+
+
+def _picked_up(key: str, done: NativeLib | str) -> NativeLib | str:
+    """Record the finished build's span, once, on the calling thread."""
+    pending = _SPANS.pop(key, None)
+    if pending is not None:
+        tracer, start, end, outcome = pending
         tracer.record("machine.codegen.native", start, end, key=key[:12],
                       outcome=outcome, seconds=round(end - start, 6))
+    return done
 
 
 def request(key: str, trusted: int, source_of, lengths_of
@@ -772,33 +790,42 @@ def request(key: str, trusted: int, source_of, lengths_of
     A build starts once ``trusted`` (Python-kernel Vcycles this program
     ran in the process) reaches the threshold; ``source_of()`` and
     ``lengths_of()`` supply its inputs only then, on the calling thread
-    (re-emitting a kernel is not safe beside another emission).
-    Concurrent requests for one key share one build."""
+    (re-emitting a kernel is not safe beside another emission), and not
+    at all without ``cc``.  Concurrent requests for one key share one
+    build.  Every outcome - a timeout included - is kept for the life
+    of the process."""
     done = _LIBS.get(key)
     if done is not None:
-        return done
+        return _picked_up(key, done)
     if trusted < _threshold and key not in _BUILDS:
         return None
     with _LOCK:
         done = _LIBS.get(key)
-        if done is not None:
-            return done
         thread = _BUILDS.get(key)
-        if thread is None:
+        if done is None and thread is None:
             if trusted < _threshold:
                 return None
-            lengths, n_msgs = lengths_of()
-            thread = threading.Thread(
-                target=_build_into_memo, name=f"native-{key[:12]}",
-                args=(key, source_of(), lengths, n_msgs, current_tracer(),
-                      time.perf_counter()),
-                daemon=True)
-            _BUILDS[key] = thread
-            thread.start()
-    if not _synchronous:
-        return None
-    thread.join()
-    return _LIBS[key]
+            tracer = current_tracer()
+            clock = tracer.clock if tracer is not None else time.perf_counter
+            if shutil.which("cc") is None:
+                done = _LIBS[key] = _NO_CC
+                if tracer is not None:
+                    now = clock()
+                    _SPANS[key] = (tracer, now, now, done)
+            else:
+                lengths, n_msgs = lengths_of()
+                thread = threading.Thread(
+                    target=_build_into_memo, name=f"native-{key[:12]}",
+                    args=(key, source_of(), lengths, n_msgs, tracer, clock),
+                    daemon=True)
+                _BUILDS[key] = thread
+                thread.start()
+    if done is None:
+        if not _synchronous:
+            return None
+        thread.join()
+        done = _LIBS[key]
+    return _picked_up(key, done)
 
 
 @contextmanager
@@ -842,7 +869,7 @@ class NativeKernel:
         self._machine = machine
         self._msgs = msgs
         self._locals = array("q", bytes(8 * max(1, tr.n_locals)))
-        self._io = array("q", bytes(8 * 4))
+        self._io = array("q", bytes(8 * 2))    # Vcycles run, pending
         self._attrs = array("q", bytes(8 * max(1, len(tr.attrs))))
         self._sent = array("q", bytes(8 * max(1, tr.n_msgs)))
         self._raised: BaseException | None = None
@@ -863,39 +890,50 @@ class NativeKernel:
             self._ctx[slot] = ctypes.cast(cb, ctypes.c_void_p).value
         self._ctx_addr = ctypes.addressof(self._ctx)
         self.live = False
+        #: Why a hydrate found state outside the proven ranges.
+        self.refused: str | None = None
 
     # -- host callbacks (run with the interpreter lock re-acquired) -----
-    def _fail(self, exc: BaseException) -> int:
-        self._raised = exc
-        self._io[1] = 1
-        return 0
-
+    # The C code sets io[1] before each call; clearing it is each
+    # callback's last step, after which no call can raise.  An exception
+    # the ``try`` catches is stashed; one raised before it (a signal
+    # handler runs as the frame starts) escapes to ctypes, which reports
+    # and drops it - io[1] stays set either way and the C code returns.
     def _se(self, cid: int, eid: int) -> int:
         try:
             self._hosts[0](cid, eid)
-            return 1 if self._machine.finished else 0
+            fin = 1 if self._machine.finished else 0
         except BaseException as exc:  # re-raised after the C call returns
-            return self._fail(exc)
+            self._raised = exc
+            return 0
+        self._io[1] = 0
+        return fin
 
     def _gr(self, cid: int, addr: int) -> int:
         try:
             value = self._hosts[1](cid, addr)
             # Only ``value & mask`` is ever used: the low 64 bits suffice.
-            return ((value + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
+            value = ((value + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
         except BaseException as exc:  # re-raised after the C call returns
-            return self._fail(exc)
+            self._raised = exc
+            return 0
+        self._io[1] = 0
+        return value
 
     def _gw(self, cid: int, addr: int, value: int) -> int:
         try:
             self._hosts[2](cid, addr, value)
-            return 0
         except BaseException as exc:  # re-raised after the C call returns
-            return self._fail(exc)
+            self._raised = exc
+            return 0
+        self._io[1] = 0
+        return 0
 
     # -- life cycle ------------------------------------------------------
-    def _hydrate(self) -> None:
+    def _hydrate(self) -> str | None:
         """Bind buffers and host functions afresh, as ``make_kernel``
-        does, and load carry/predicate for the C preamble."""
+        does, and load carry/predicate for the C preamble; returns why
+        not when a value lies outside the proven 16-bit range."""
         machine = self._machine
         cores = machine.cores
         for pos, (cid, kind) in enumerate(self._tr.arrays):
@@ -904,15 +942,14 @@ class NativeKernel:
         for slot, (cid, attr) in enumerate(self._tr.attrs):
             value = getattr(cores[cid], attr)
             if not 0 <= value <= 0xFFFF:
-                raise NativeUnsupported(f"core {cid} {attr}={value!r} is "
-                                        "outside the proven 16-bit range")
+                return (f"core {cid} {attr}={value!r} is outside the "
+                        "proven 16-bit range")
             self._attrs[slot] = value
         self._hosts = (machine.service_exception, machine.global_read,
                        machine.global_write)
+        return None
 
     def _call(self, op: int, budget: int) -> int:
-        io = self._io
-        io[1] = 0
         try:
             code = self._fn(op, budget, self._ctx_addr)
             self.live = code == -1
@@ -932,22 +969,29 @@ class NativeKernel:
             self._msgs[:] = self._sent.tolist()[:len(self._msgs)]
         elif code == CODE_HOST_ERROR:
             exc, self._raised = self._raised, None
+            if exc is None:
+                # Lost before the callback's ``try``: only an
+                # asynchronous exception gets there, in practice the
+                # KeyboardInterrupt of a Ctrl-C landing as the frame
+                # started.
+                raise KeyboardInterrupt("raised as a host callback "
+                                        "started; reported above by ctypes")
             raise exc
-        elif code == CODE_OVERFLOW:
-            raise OverflowError("unsigned short is less than minimum"
-                                if self._io[2] == 2 else
-                                "unsigned short is greater than maximum")
 
-    def run(self, budget: int) -> tuple[int, int]:
-        """Run up to ``budget`` (>= 1) Vcycles; returns ``(code, clean)``
-        with the Python kernel's yield code of the last Vcycle and the
-        number of clean Vcycles before it.  ``NativeUnsupported`` from a
-        hydrate means the state cannot be proven in range - the caller
-        keeps the Python kernel."""
+    def run(self, budget: int) -> tuple[int, int] | None:
+        """Run up to ``budget`` (>= 1) Vcycles in one C call of at most
+        ``CHUNK_VCYCLES``; returns ``(code, clean)`` with the Python
+        kernel's yield code of the last Vcycle and the number of clean
+        Vcycles before it - or ``None`` when a hydrate found state it
+        cannot prove in range (:attr:`refused` says which), and the
+        caller keeps the Python kernel."""
+        budget = min(budget, CHUNK_VCYCLES)
         if self.live:
             code = self._call(OP_RUN, budget)
         else:
-            self._hydrate()
+            self.refused = self._hydrate()
+            if self.refused is not None:
+                return None
             code = self._call(OP_HYDRATE, budget)
         return code, self._io[0]
 

@@ -68,11 +68,24 @@ class Tracer:
             s.end = self._clock()
             self._stack.pop()
 
+    @property
+    def clock(self):
+        """The tracer's time source, for spans measured elsewhere."""
+        return self._clock
+
     def record(self, name: str, start: float, end: float, cat: str = "",
                **args) -> None:
-        """Append a finished root span measured elsewhere - e.g. on a
-        background thread, which must not touch the open-span stack."""
-        self.spans.append(Span(name=name, cat=cat, start=start, end=end,
+        """Add a finished root span measured elsewhere (e.g. a build on
+        a background thread, with :attr:`clock`), in start order."""
+        spans = self.spans
+        pos = len(spans)
+        while pos and spans[pos - 1].start > start:
+            pos -= 1
+        for s in spans[pos:]:
+            if s.parent >= pos:
+                s.parent += 1
+        self._stack[:] = [i + (i >= pos) for i in self._stack]
+        spans.insert(pos, Span(name=name, cat=cat, start=start, end=end,
                                args=dict(args)))
 
     # ------------------------------------------------------------------

@@ -290,6 +290,79 @@ def test_bulk_runs_are_split_into_bounded_calls(monkeypatch):
         assert machine.counters.vcycles - before == (7 if HAVE_CC else 50)
 
 
+@pytest.mark.skipif(not HAVE_CC, reason="needs a C compiler")
+def test_hydrate_outside_proven_range_keeps_python_kernel():
+    """A carry/predicate the C preamble cannot prove 16-bit (only a
+    foreign write gets there) retires the C tier, never an error."""
+    program = _small("mc")
+    machine = Machine(program, CONFIG, engine="codegen")
+    with native.forced():
+        machine.run(20)
+        engine = machine._fastpath
+        cid, attr = engine._native._tr.attrs[0]
+        setattr(machine.cores[cid], attr, 1 << 16)
+        ran = engine.native_vcycles
+        machine.run(40)                     # a budget in total Vcycles
+    assert engine._native is None and engine.native_vcycles == ran
+    assert f"core {cid} {attr}=65536 is outside" in engine.native_error
+    assert machine.counters.vcycles > 20
+
+
+@pytest.mark.parametrize("name", ["bc", "mc"])
+@pytest.mark.parametrize("background", [False, True],
+                         ids=["synchronous", "background"])
+def test_switch_after_threshold_mid_run(name, background, monkeypatch):
+    """The production hand-off: the Python kernel runs the first trusted
+    Vcycles up to the threshold, the build starts (and, in the
+    background, lands while the Python kernel runs capped bulk calls),
+    and at a Vcycle boundary the live generator is flushed and the C
+    state hydrated from the cores."""
+    program = _small(name)
+    budget = DESIGNS[name].cycles_at("small")
+    ref = _observed(*_run(program, CONFIG, budget, "strict"))
+    assert _observed(*_run(program, CONFIG, budget, "python")) == ref
+    monkeypatch.setattr(native, "_LIBS", {})
+    monkeypatch.setattr(native, "_SPANS", {})
+    monkeypatch.setattr(native, "_threshold", 37)
+    monkeypatch.setattr(native, "_synchronous", not background)
+    monkeypatch.setattr(cg, "_TRUSTED", {})
+    monkeypatch.setattr(cg, "_PENDING_CHUNK", 5)
+    request = native.request
+
+    def land_at_the_next_boundary(key, *args):
+        # A build already in flight lands before this boundary looks.
+        thread = native._BUILDS.get(key)
+        if thread is not None:
+            thread.join()
+        return request(key, *args)
+
+    monkeypatch.setattr(native, "request", land_at_the_next_boundary)
+    switches = []   # (generator live before the switch, Python Vcycles)
+    native_budget = cg.CodegenEngine._native_budget
+
+    def spy(self, budget):
+        live = self._gen is not None
+        got = native_budget(self, budget)
+        if self._native is not None:
+            switches.append((live, cg._TRUSTED[self._key]))
+        return got
+
+    monkeypatch.setattr(cg.CodegenEngine, "_native_budget", spy)
+    machine = Machine(program, CONFIG, engine="codegen")
+    result = machine.run(budget)
+    assert _observed(machine, result) == ref
+    engine = machine._fastpath
+    if not HAVE_CC:
+        assert switches == [] and engine.native_vcycles == 0
+        assert "'cc' is not on PATH" in engine.native_error
+        return
+    assert engine.native_error is None, engine.native_error
+    assert len(switches) == 1 and switches[0][0]
+    python_vcycles = switches[0][1]
+    assert 37 < python_vcycles <= 37 + 5 if background else python_vcycles == 37
+    assert 0 < engine.native_vcycles < result.vcycles
+
+
 # ---------------------------------------------------------------------------
 # Host calls: exceptions surface as themselves, state matches.
 # ---------------------------------------------------------------------------
@@ -366,6 +439,58 @@ def test_keyboard_interrupt_from_host_callback_surfaces_as_itself():
     assert (machine._fastpath._native is not None) == HAVE_CC
 
 
+def _state(machine):
+    return ([bytes(c.regs) for c in machine.cores.values()],
+            [bytes(c.scratch or b"") for c in machine.cores.values()],
+            machine.counters.as_dict())
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="needs a C compiler")
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnraisableExceptionWarning")
+def test_interrupt_before_callback_try_still_stops_the_kernel(monkeypatch):
+    """A Ctrl-C whose handler runs as a host callback's frame starts
+    raises before the callback's ``try``; ctypes reports and drops it.
+    The call is still pending, so the C kernel stops there and the
+    run raises KeyboardInterrupt, leaving what the Python kernel
+    leaves when that host call raises - and the run continues alike."""
+    program, budget, at = _global_memory("ram"), 308, 40
+    py = Machine(program, ONE_CORE, engine="codegen")
+    restore = _raise_on_call(py, "global_read", at, KeyboardInterrupt())
+    with _tier("python"):
+        with pytest.raises(KeyboardInterrupt):
+            py.run(budget)
+        after_py = _state(py)
+        restore()
+        ref = _observed(py, py.run(budget))
+
+    machine = Machine(program, ONE_CORE, engine="codegen")
+    reads = []
+    read = machine.global_read
+
+    def counted(*args):
+        reads.append(args)
+        return read(*args)
+
+    machine.global_read = counted
+    gr = native.NativeKernel._gr
+
+    def raises_at_entry(self, cid, addr):
+        if len(reads) == at - 1:
+            reads.append(None)      # the read that never happens
+            raise KeyboardInterrupt
+        return gr(self, cid, addr)
+
+    monkeypatch.setattr(native.NativeKernel, "_gr", raises_at_entry)
+    with native.forced():
+        with pytest.raises(KeyboardInterrupt):
+            machine.run(budget)
+        assert _state(machine) == after_py
+        result = machine.run(budget)
+    assert _observed(machine, result) == ref
+    _check_tier(machine)
+
+
 # ---------------------------------------------------------------------------
 # The translator: range proofs, 16-bit stores, the whitelist.
 # ---------------------------------------------------------------------------
@@ -406,7 +531,6 @@ def _fake_machine(r1: int, r2: int):
                            global_write=None)
 
 
-@pytest.mark.skipif(not HAVE_CC, reason="needs a C compiler")
 @pytest.mark.parametrize("body,sync,r1,r2,message,in_sync", [
     ("            sc0[c0_r1 & 7] = c0_r1 + c0_r2",
      "                regs0[1] = c0_r1", 60000, 10000,
@@ -415,33 +539,22 @@ def _fake_machine(r1: int, r2: int):
      "                regs0[3] = c0_r1 - 7", 0, 3,
      "unsigned short is less than minimum", True),
 ])
-def test_out_of_range_store_raises_overflow_error(body, sync, r1, r2,
-                                                  message, in_sync):
-    """A 16-bit store not proven in range is checked at run time and
-    raises OverflowError, exactly as ``array("H")`` does."""
+def test_unproven_16bit_store_keeps_the_python_kernel(body, sync, r1, r2,
+                                                      message, in_sync):
+    """A 16-bit store not proven in range refuses the kernel, so the
+    Python kernel runs it and an out-of-range value raises OverflowError,
+    exactly as ``array("H")`` does."""
     source = _kernel(body, sync)
+    with pytest.raises(native.NativeUnsupported, match="16-bit store"):
+        native.translate(source, LENGTHS, 0)
     ns = {}
     exec(compile(source, "<kernel>", "exec"), ns)
-    py_machine = _fake_machine(r1, r2)
-    gen = ns["make_kernel"](py_machine, py_machine.cores, [], [])()
-    c_machine = _fake_machine(r1, r2)
-    kernel = native.NativeKernel(native.build(source, LENGTHS, 0),
-                                 c_machine, [])
-    if not in_sync:
-        with pytest.raises(OverflowError, match=message):
-            next(gen)
-        with pytest.raises(OverflowError, match=message):
-            kernel.run(1)
-    else:
+    machine = _fake_machine(r1, r2)
+    gen = ns["make_kernel"](machine, machine.cores, [], [])()
+    if in_sync:
         assert next(gen) == -1
-        assert kernel.run(1) == (-1, 1)
-        with pytest.raises(OverflowError, match=message):
-            gen.send(True)
-        with pytest.raises(OverflowError, match=message):
-            kernel.sync()
-    assert bytes(c_machine.cores[0].regs) == bytes(py_machine.cores[0].regs)
-    assert bytes(c_machine.cores[0].scratch) == \
-        bytes(py_machine.cores[0].scratch)
+    with pytest.raises(OverflowError, match=message):
+        gen.send(True) if in_sync else next(gen)
 
 
 @pytest.mark.parametrize("body,reason", [
@@ -493,10 +606,17 @@ def _fallback_run(name="mc"):
 @pytest.fixture
 def fresh_memo(monkeypatch):
     monkeypatch.setattr(native, "_LIBS", {})
+    monkeypatch.setattr(native, "_SPANS", {})
 
 
 def test_fallback_without_cc(fresh_memo, monkeypatch, tmp_path):
+    """Decided before the kernel source is loaded or re-emitted."""
     monkeypatch.setenv("PATH", str(tmp_path))
+
+    def no_source(self):
+        raise AssertionError("kernel source loaded without a C compiler")
+
+    monkeypatch.setattr(cg.CodegenEngine, "_native_source", no_source)
     assert "'cc' is not on PATH" in _fallback_run()
 
 
@@ -568,7 +688,7 @@ def test_build_span_and_profile_line(fresh_memo):
         machine, _result = _run(program, CONFIG, 64, "native")
     spans = [s for s in tracer.spans if s.name == "machine.codegen.native"]
     assert len(spans) == 1
-    assert spans[0].args["seconds"] > 0
+    assert (spans[0].args["seconds"] > 0) == HAVE_CC
     assert spans[0].args["outcome"] == ("ok" if HAVE_CC
                                         else machine._fastpath.native_error)
 
@@ -580,3 +700,18 @@ def test_build_span_and_profile_line(fresh_memo):
     count = run.machine._fastpath.native_vcycles
     assert f"native C tier      : {count} Vcycles" in run.render()
     assert (count > 0) == HAVE_CC
+
+
+def test_recorded_span_keeps_start_order_and_parents():
+    """A build span picked up late lands in start order; the spans after
+    it and the open-span stack keep pointing at the right parents."""
+    ticks = iter(range(100))
+    tracer = Tracer(clock=lambda: next(ticks))
+    with tracer.span("outer"):
+        with tracer.span("a"):
+            pass
+        tracer.record("built", 1.5, 9.0, outcome="ok")
+        with tracer.span("b"):
+            pass
+    assert [(s.name, s.parent) for s in tracer.spans] == [
+        ("outer", -1), ("built", -1), ("a", 0), ("b", 0)]
