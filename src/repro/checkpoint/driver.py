@@ -73,6 +73,24 @@ class _AsyncPublisher:
         return self._published
 
 
+#: A trusted bulk call stops at most this many Vcycles after the
+#: previous ``preempt`` poll, so a preemption lands within it.
+PREEMPT_POLL_VCYCLES = 256
+
+
+def _bulk_stop(vcycle: int, budget: int, every: int,
+               polled: bool) -> int:
+    """Where a bulk call from ``vcycle`` must stop: the budget, the next
+    snapshot boundary, or the next ``preempt`` poll, whichever is
+    nearest."""
+    stop = budget
+    if every > 0:
+        stop = min(stop, (vcycle // every + 1) * every)
+    if polled:
+        stop = min(stop, vcycle + PREEMPT_POLL_VCYCLES)
+    return stop
+
+
 @dataclass
 class CheckpointedRun:
     """Everything one driver invocation did."""
@@ -118,6 +136,15 @@ def run_with_checkpoints(
     Vcycle - the hook tests and the CLI throttle use to make runs
     interruptible at known points.
 
+    A trusted machine with a bulk loop (``codegen``), no profiler and no
+    ``on_vcycle`` hook advances in bulk calls (``Machine._run_bulk``)
+    that stop at the budget, the next ``checkpoint_every`` boundary and,
+    with ``preempt`` given, :data:`PREEMPT_POLL_VCYCLES` after the last
+    poll, whichever is nearest; snapshots land at the same Vcycles with
+    the same bytes as when stepping one Vcycle at a time.  The checking
+    engines, profiled runs and ``on_vcycle`` runs step one Vcycle (or
+    ``preempt_grain`` events) at a time.
+
     ``preempt`` (the :mod:`repro.serve` preemption hook) is polled while
     the run advances; when it returns True the driver stops, publishes a
     final handoff snapshot synchronously (so it is durable before the
@@ -128,7 +155,9 @@ def run_with_checkpoints(
     pending writebacks and all - and still resume bit-identically
     (mid-Vcycle snapshots are a PR-5 capability).  Trusted compiled
     engines execute Vcycles atomically, so they are polled at Vcycle
-    boundaries regardless of the grain.
+    boundaries regardless of the grain: before every Vcycle when stepped
+    one at a time, and at most :data:`PREEMPT_POLL_VCYCLES` apart in
+    bulk.
     """
     rejected: list[RejectedSnapshot] = []
     machine: Machine | None = None
@@ -157,6 +186,7 @@ def run_with_checkpoints(
     if on_start is not None:
         on_start(machine, resumed_from is not None)
 
+    every = checkpoint_every if store is not None else 0
     publisher: _AsyncPublisher | None = None
     preempted = False
     try:
@@ -178,12 +208,15 @@ def run_with_checkpoints(
                 if preempt is not None and preempt():
                     preempted = True
                     break
-                machine.step_vcycle()
+                if on_vcycle is not None \
+                        or not machine._run_bulk(_bulk_stop(
+                            machine.counters.vcycles, max_vcycles, every,
+                            preempt is not None)):
+                    machine.step_vcycle()
             if on_vcycle is not None:
                 on_vcycle(machine)
-            if store is not None and checkpoint_every > 0 \
-                    and not machine.finished \
-                    and machine.counters.vcycles % checkpoint_every == 0:
+            if every > 0 and not machine.finished \
+                    and machine.counters.vcycles % every == 0:
                 if publisher is None:
                     publisher = _AsyncPublisher(store)
                 publisher.submit(capture(machine))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import weakref
 
 from ..machine.boot import deserialize, serialize
 from ..machine.config import MachineConfig
@@ -33,10 +34,32 @@ from ..netlist.serialize import blob_sha256
 from .format import Snapshot, SnapshotError
 
 
+#: ``id(program)`` -> its :func:`_program_image`, evicted with the
+#: program so ids cannot alias (programs are never mutated after
+#: compile, so one serialization serves the object's lifetime).
+_IMAGES: dict[int, tuple[str, str]] = {}
+
+
+def _program_image(program) -> tuple[str, str]:
+    """``(base64 bootloader stream, its sha256)``, once per program."""
+    pid = id(program)
+    image = _IMAGES.get(pid)
+    if image is None:
+        stream = serialize(program)
+        image = (base64.b64encode(stream).decode("ascii"),
+                 blob_sha256(stream))
+        try:
+            weakref.finalize(program, _IMAGES.pop, pid, None)
+            _IMAGES[pid] = image
+        except TypeError:
+            pass
+    return image
+
+
 def program_fingerprint(program) -> str:
     """Content fingerprint of a compiled program: sha256 of its
     bootloader stream (the canonical wire format)."""
-    return blob_sha256(serialize(program))
+    return _program_image(program)[1]
 
 
 def capture(machine: Machine) -> dict:
@@ -47,19 +70,13 @@ def capture(machine: Machine) -> dict:
     engines - in-flight NoC messages, pending writebacks, and the
     half-populated link-reservation set are all part of the payload.
 
-    The program's bootloader stream is immutable for the machine's
-    lifetime, so its (relatively expensive) serialization and base64
-    form are computed once per machine and reused by every subsequent
-    capture - the periodic-checkpoint steady state pays only for the
+    The program's bootloader stream is immutable, so its (relatively
+    expensive) serialization and base64 form are computed once per
+    program object and reused by every capture of every machine that
+    runs it - the periodic-checkpoint steady state pays only for the
     dynamic state.
     """
-    cached = getattr(machine, "_ckpt_program_cache", None)
-    if cached is None:
-        stream = serialize(machine.program)
-        cached = (base64.b64encode(stream).decode("ascii"),
-                  blob_sha256(stream))
-        machine._ckpt_program_cache = cached
-    encoded, sha = cached
+    encoded, sha = _program_image(machine.program)
     return {
         "design": machine.program.name,
         "vcycle": machine.counters.vcycles,

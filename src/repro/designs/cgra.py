@@ -15,6 +15,8 @@ asserts equality on a frame checksum.
 
 from __future__ import annotations
 
+import functools
+
 from ..netlist.builder import CircuitBuilder, Signal
 from ..netlist.ir import Circuit
 
@@ -41,7 +43,9 @@ def row_input(i: int, t: int) -> int:
     return (t * 23 + i * 77 + 5) & M16
 
 
+@functools.lru_cache(maxsize=64)
 def reference_checksum(rows: int, cols: int, steps: int) -> int:
+    config = [[pe_config(i, j) for j in range(cols)] for i in range(rows)]
     outs = [[0] * cols for _ in range(rows)]
     valid = [[False] * cols for _ in range(rows)]
     checksum = 0
@@ -53,7 +57,7 @@ def reference_checksum(rows: int, cols: int, steps: int) -> int:
                 a = row_input(i, t) if j == 0 else outs[i][j - 1]
                 a_valid = True if j == 0 else valid[i][j - 1]
                 prev = outs[i][j]
-                op, coef = pe_config(i, j)
+                op, coef = config[i][j]
                 if a_valid:
                     new_outs[i][j] = _pe_ref(op, a, coef, prev)
                 new_valid[i][j] = a_valid

@@ -11,6 +11,8 @@ path and little to distribute - the benchmark where Verilator wins.
 
 from __future__ import annotations
 
+import functools
+
 from ..netlist.builder import CircuitBuilder
 from ..netlist.ir import Circuit
 
@@ -35,6 +37,7 @@ def bitstream_bit(i: int) -> int:
     return (x >> 7) & 1
 
 
+@functools.lru_cache(maxsize=64)
 def reference_decode(num_bits: int) -> tuple[int, int]:
     """(symbols decoded, accumulated dequantized sum) after consuming
     ``num_bits`` bits."""

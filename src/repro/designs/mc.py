@@ -17,6 +17,8 @@ model at the end of the run.
 
 from __future__ import annotations
 
+import functools
+
 from ..netlist.builder import CircuitBuilder, Signal
 from ..netlist.ir import Circuit
 
@@ -33,6 +35,7 @@ def xorshift32(x: int) -> int:
     return x & M32
 
 
+@functools.lru_cache(maxsize=64)
 def reference_sum(walkers: int, steps: int) -> int:
     """Python model of the total price after ``steps`` cycles."""
     total = 0

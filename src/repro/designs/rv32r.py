@@ -24,6 +24,8 @@ mini16 ISA (op 4 bits | field 12 bits):
 
 from __future__ import annotations
 
+import functools
+
 from ..netlist.builder import CircuitBuilder, Signal
 from ..netlist.ir import Circuit
 
@@ -62,7 +64,8 @@ def core_program(core: int, num_cores: int, iterations: int) -> list[int]:
     ]
 
 
-def reference_final_r0(num_cores: int, iterations: int) -> list[int]:
+@functools.lru_cache(maxsize=64)
+def reference_final_r0(num_cores: int, iterations: int) -> tuple[int, ...]:
     """Python model of every core's final R0 (exact ISA semantics)."""
     programs = [core_program(c, num_cores, iterations)
                 for c in range(num_cores)]
@@ -105,7 +108,7 @@ def reference_final_r0(num_cores: int, iterations: int) -> list[int]:
                 nxt = pcs[c]
             pcs[c] = nxt
         ring_out = new_ring
-    return [regs[c][0] for c in range(num_cores)]
+    return tuple(regs[c][0] for c in range(num_cores))
 
 
 def build(num_cores: int = 12, iterations: int = 8) -> Circuit:

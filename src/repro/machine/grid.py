@@ -621,23 +621,34 @@ class Machine:
         self._event_pos = 0
         return True
 
+    def _run_bulk(self, until: int) -> bool:
+        """One trusted bulk call toward Vcycle ``until``; returns False,
+        having run nothing, unless the machine is trusted, unprofiled
+        and its compiled engine has a bulk loop.
+
+        The engine may return early - after a non-clean Vcycle, at a
+        tier boundary - so callers loop while budget remains.  Kernel
+        state is not synced back to the cores; observers (the end of
+        ``run``, ``checkpoint_state``) sync it.
+        """
+        fp = self._fastpath
+        if not self._trusted or self.profiler is not None \
+                or not hasattr(fp, "run_vcycles"):
+            return False
+        before = self.counters.exceptions
+        fp.run_vcycles(until - self.counters.vcycles)
+        if (self.counters.exceptions != before
+                and not fp.services_exceptions):
+            self._trusted = False
+            self._verify_left = max(self._verify_left, 1)
+        return True
+
     def run(self, max_vcycles: int) -> MachineResult:
         with _span("machine.run", engine=self.engine,
                    budget=max_vcycles) as s:
             while not self.finished and self.counters.vcycles < max_vcycles:
-                fp = self._fastpath
-                if self._trusted and self.profiler is None \
-                        and fp is not None:
-                    bulk = getattr(fp, "run_vcycles", None)
-                    if bulk is not None:
-                        before = self.counters.exceptions
-                        bulk(max_vcycles - self.counters.vcycles)
-                        if (self.counters.exceptions != before
-                                and not fp.services_exceptions):
-                            self._trusted = False
-                            self._verify_left = max(self._verify_left, 1)
-                        continue
-                self.step_vcycle()
+                if not self._run_bulk(max_vcycles):
+                    self.step_vcycle()
             self._sync_compiled()
             if s is not None:
                 s.args["vcycles"] = self.counters.vcycles

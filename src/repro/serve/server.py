@@ -10,7 +10,7 @@ One asyncio event loop fronts the whole existing stack:
   PR-2 compile cache (:func:`~repro.compiler.cache.compile_cache_key`);
   fingerprint-identical circuits from different tenants compile exactly
   once (in-flight submissions share the same compile future, later ones
-  hit the disk artifact);
+  hit the in-memory artifact LRU or the disk artifact);
 * **preemption and migration** - jobs execute under
   :func:`~repro.checkpoint.driver.run_with_checkpoints` with the PR-5
   snapshot format as the handoff mechanism: a preempted job (priority
@@ -41,7 +41,7 @@ import json
 import shutil
 import tempfile
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from pathlib import Path
 
 from ..checkpoint.driver import run_with_checkpoints
@@ -58,6 +58,12 @@ SERVE_SCHEMA_VERSION = 1
 
 #: Worker execution modes.
 MODES = ("thread", "process")
+
+#: Finished compile artifacts a thread-mode server keeps in memory, by
+#: cache key, least recently used evicted first.  Jobs of one design
+#: then share one ``CompileResult`` - and one ``MachineProgram``, which
+#: nothing mutates after compile - instead of unpickling their own.
+ARTIFACT_LRU_SIZE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +188,7 @@ class SimulationServer:
         self._queue = FairQueue()
         self._running: dict[int, Job] = {}
         self._compiles: dict[str, asyncio.Future] = {}
+        self._artifacts: OrderedDict[str, object] = OrderedDict()
         self._next_id = 1
         self._tasks: list[asyncio.Task] = []
         self._cond: asyncio.Condition | None = None
@@ -226,6 +233,7 @@ class SimulationServer:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
+        self._artifacts.clear()
         for path in self._owned_dirs:
             shutil.rmtree(path, ignore_errors=True)
         self._owned_dirs = []
@@ -411,14 +419,24 @@ class SimulationServer:
 
         The first job for a cache key runs the compile (and stores the
         artifact); concurrent jobs for the same key await that same
-        future (``status="shared"``); later jobs hit the disk artifact
-        (``status="hit"``).  ``CompileReport.cache`` statistics back
-        every status, so the dedupe contract is test-assertable.
+        future (``status="shared"``); later jobs hit the in-memory
+        artifact (thread mode, :data:`ARTIFACT_LRU_SIZE` keys) or the
+        disk artifact (``status="hit"``).  ``CompileReport.cache``
+        statistics back every status, so the dedupe contract is
+        test-assertable.
         """
         circuit = self._circuits[job.id]
         key = self._cache.key(circuit, self._options)
         job.cache_key = key
         record = job.cache is None
+        compiled = self._artifacts.get(key)
+        if compiled is not None:
+            self._artifacts.move_to_end(key)
+            if record:
+                self._cache.stats.hits += 1
+                job.cache = self._cache.describe("hit", key)
+                self.counter["cache_hits"] += 1
+            return compiled
         fut = self._compiles.get(key)
         if fut is None:
             fut = asyncio.get_running_loop().create_future()
@@ -435,6 +453,12 @@ class SimulationServer:
                 raise
             fut.set_result(compiled)
             self._compiles.pop(key, None)
+            if self.mode == "thread":
+                # Process-mode workers load the artifact from disk, so
+                # every job there keeps going through compile_circuit.
+                self._artifacts[key] = compiled
+                if len(self._artifacts) > ARTIFACT_LRU_SIZE:
+                    self._artifacts.popitem(last=False)
             if record:
                 job.cache = dict(compiled.report.cache)
                 if job.cache["status"] == "miss":
