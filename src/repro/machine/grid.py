@@ -28,6 +28,7 @@ the compiled engines stay bit-identical with strict.
 from __future__ import annotations
 
 import heapq
+import weakref
 from array import array
 from dataclasses import dataclass
 
@@ -130,7 +131,8 @@ class _Core:
                  "predicate", "pending", "queue", "machine", "events")
 
     def __init__(self, core_id: int, binary: CoreBinary,
-                 config: MachineConfig, machine: "Machine") -> None:
+                 config: MachineConfig, machine: "Machine",
+                 events: tuple) -> None:
         self.core_id = core_id
         self.binary = binary
         self.regs = _zero_words(config.num_registers)
@@ -154,11 +156,9 @@ class _Core:
         #: seq keeps equal arrivals in send order (stable).
         self.queue: list[tuple[int, int, int, int]] = []
         self.machine = machine
-        # Precompute non-NOP issue events for fast Vcycle execution.
-        self.events: list[tuple[int, isa.Instruction]] = [
-            (cycle, instr) for cycle, instr in enumerate(binary.body)
-            if not isinstance(instr, isa.Nop)
-        ]
+        #: non-NOP ``(cycle, instr)`` issue events, shared read-only by
+        #: every machine of the program (:class:`_ProgramRecord`)
+        self.events = events
 
     # -- ExecContext protocol -------------------------------------------
     def read_reg(self, reg: int) -> int:
@@ -299,6 +299,61 @@ EXCEPTION_SERVICING_ENGINES = ("codegen",)
 BATCH_KERNEL_ENGINES = ("codegen",)
 
 
+class _ProgramRecord:
+    """What every machine of one program object shares.
+
+    ``events`` is the Vcycle schedule - all ``(cycle, core,
+    instr|"recv")`` events, sorted - and ``core_events`` each core's
+    non-NOP ``(cycle, instr)`` issue events; both are read-only.
+    ``verified`` holds the :class:`MachineConfig` s under which a
+    compiled-engine machine finished its verification countdown without
+    a fault.  Under static BSP issue order, routing and writeback timing
+    are data-independent, so that proof holds for every later machine
+    of the same program object and config: they start trusted, as with
+    ``fastpath_verify_vcycles=0``.
+    """
+
+    __slots__ = ("events", "core_events", "verified")
+
+    def __init__(self, program: MachineProgram) -> None:
+        self.core_events = {
+            cid: tuple((cycle, instr)
+                       for cycle, instr in enumerate(binary.body)
+                       if not isinstance(instr, isa.Nop))
+            for cid, binary in program.cores.items()}
+        events: list[tuple[int, int, object]] = []
+        for cid, binary in program.cores.items():
+            for cycle, instr in self.core_events[cid]:
+                events.append((cycle, cid, instr))
+            epi_start = len(binary.body)
+            for k in range(binary.epilogue_length):
+                events.append((epi_start + k, cid, "recv"))
+        events.sort(key=lambda e: (e[0], e[1]))
+        self.events = tuple(events)
+        self.verified: set[MachineConfig] = set()
+
+
+#: ``id(program)`` -> its :class:`_ProgramRecord`, evicted with the
+#: program so ids cannot alias (programs are never mutated after
+#: compile).  A recompiled or unpickled program is a new object, so it
+#: is scheduled and verified afresh.
+_RECORDS: dict[int, _ProgramRecord] = {}
+
+
+def _program_record(program: MachineProgram) -> _ProgramRecord:
+    pid = id(program)
+    record = _RECORDS.get(pid)
+    if record is None:
+        record = _ProgramRecord(program)
+        try:
+            weakref.finalize(program, _RECORDS.pop, pid, None)
+        except TypeError:
+            return record
+        # Two threads may build at once; both keep the first stored.
+        record = _RECORDS.setdefault(pid, record)
+    return record
+
+
 class Machine:
     """The whole grid in lockstep."""
 
@@ -326,8 +381,10 @@ class Machine:
         self.exception_stall = exception_stall
         self.counters = PerfCounters()
         self.cache = Cache(self.config, dram=dict(program.global_init))
+        record = _program_record(program)
         self.cores = {
-            cid: _Core(cid, binary, self.config, self)
+            cid: _Core(cid, binary, self.config, self,
+                       record.core_events[cid])
             for cid, binary in program.cores.items()
         }
         self.displays: list[str] = []
@@ -335,7 +392,7 @@ class Machine:
         self.now = 0               # compute-domain cycle within the Vcycle
         self._link_busy: set[tuple] = set()
         self._msg_seq = 0
-        self._vcycle_events = self._merge_events()
+        self._vcycle_events = record.events
         #: resume position of a partially executed Vcycle (the checking
         #: engines can pause between events - ``step_events`` - which is
         #: what lets checkpoints capture in-flight messages and pending
@@ -347,28 +404,20 @@ class Machine:
         self._vcycle_base: tuple | None = None
         # Verify-once-then-trust state (the COMPILED_ENGINES): the
         # compiled engine, whether it is currently trusted, and how many
-        # strict verification Vcycles remain before (re-)trusting it.
+        # strict verification Vcycles remain before (re-)trusting it -
+        # none when an earlier machine of this program object verified
+        # it under this config.
         self._fastpath = None
         self._fastpath_error: str | None = None
         self._trusted = False
         self._verify_left = max(0, self.config.fastpath_verify_vcycles)
-        if engine in COMPILED_ENGINES and self._verify_left == 0:
-            self._trusted = self._ensure_fastpath()
+        if engine in COMPILED_ENGINES:
+            if self.config in record.verified:
+                self._verify_left = 0
+            if self._verify_left == 0:
+                self._trusted = self._ensure_fastpath()
         if profiler is not None:
             profiler.attach(self)
-
-    # ------------------------------------------------------------------
-    def _merge_events(self) -> list[tuple[int, int, object]]:
-        """All (cycle, core, instr|"recv") events of one Vcycle, sorted."""
-        events: list[tuple[int, int, object]] = []
-        for cid, core in self.cores.items():
-            for cycle, instr in core.events:
-                events.append((cycle, cid, instr))
-            epi_start = len(core.binary.body)
-            for k in range(core.binary.epilogue_length):
-                events.append((epi_start + k, cid, "recv"))
-        events.sort(key=lambda e: (e[0], e[1]))
-        return events
 
     # -- global services ---------------------------------------------------
     def global_read(self, core_id: int, addr: int) -> int:
@@ -484,8 +533,10 @@ class Machine:
 
         With ``engine="fast"`` this applies the verify-once-then-trust
         protocol: strict Vcycles until ``config.fastpath_verify_vcycles``
-        clean ones have run, then the compiled trace; any Vcycle with an
-        exception drops trust for one strict (re-verifying) Vcycle.
+        clean ones have run (none if a machine of the same program
+        object and config already did), then the compiled trace; any
+        Vcycle with an exception drops trust for one strict
+        (re-verifying) Vcycle.
 
         If the machine was restored from a mid-Vcycle checkpoint
         (``_event_pos != 0``) the call first *completes* that partial
@@ -550,6 +601,7 @@ class Machine:
                 self._verify_left = max(self._verify_left, 1)
             elif self._verify_left <= 0 and self._ensure_fastpath():
                 self._trusted = True
+                _program_record(self.program).verified.add(self.config)
         prof = self.profiler
         if prof is not None:
             c = self.counters

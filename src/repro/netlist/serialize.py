@@ -132,9 +132,14 @@ def pack_words(values: Sequence[int],
     raw = values.tobytes()
     if strip_zeros:
         raw = raw[:_live_bytes(raw)]
-    packed = zlib.compress(raw, 1)
-    if len(packed) < len(raw):
-        return "z16:" + base64.b64encode(packed).decode("ascii")
+    # A zlib stream is never shorter than 8 bytes (2-byte header, >= 2
+    # deflate bytes, 4-byte Adler-32), so it cannot win on <= 8 bytes;
+    # skipping the call there also skips a GIL release per empty
+    # scratchpad, which under thread contention costs a convoy wait.
+    if len(raw) > 8:
+        packed = zlib.compress(raw, 1)
+        if len(packed) < len(raw):
+            return "z16:" + base64.b64encode(packed).decode("ascii")
     return "u16:" + base64.b64encode(raw).decode("ascii")
 
 

@@ -351,7 +351,6 @@ class SimulationServer:
                 job.advance("compiling")
             compiled = await self._compiled(job)
             job.advance("running")
-            job.preempt_flag.clear()
             if self.mode == "process":
                 payload = await self._run_process(job)
             else:
@@ -379,6 +378,7 @@ class SimulationServer:
             return
         self.counter["retried"] += 1
         job.advance("pending")
+        job.preempt_flag.clear()
         job.avoid_worker = wid if self.workers > 1 else None
         async with self._cond:
             self._queue.push(job, front=True)

@@ -76,7 +76,7 @@ def _zero_tailed(rng: random.Random, n: int, last: int) -> list[int]:
     return words + [0] * (n - live)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 2048, 4096, 4097, 16384])
+@pytest.mark.parametrize("n", [*range(17), 2048, 4096, 4097, 16384])
 def test_pack_words_matches_list_encoder(n):
     rng = random.Random(n)
     for last in (0x0005, 0x0100):

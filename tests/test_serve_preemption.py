@@ -23,6 +23,8 @@ import asyncio
 import functools
 import os
 import signal
+import threading
+from unittest import mock
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.compiler import CompilerOptions, compile_circuit
 from repro.designs import DESIGNS
 from repro.machine import Machine, MachineConfig
 from repro.serve import SimulationServer, state_digest
+from repro.serve import server as serve_server
 
 CONFIG = MachineConfig(grid_x=8, grid_y=8)
 
@@ -203,6 +206,46 @@ def test_priority_submission_preempts_running_low_priority_job():
     assert low.state == "done"
     assert low.preemptions >= 1, \
         "the high-priority submission should have preempted the runner"
+    assert low.result["state_sha256"] == ref_digest
+    assert high.result["state_sha256"] == ref_digest
+
+
+def test_priority_preemption_aimed_during_compile_is_kept():
+    """A job still compiling holds its worker, so a higher-priority
+    submission may pick it as the victim; the request must survive the
+    compile and preempt the job once it runs."""
+    name, engine = "mc", "strict"
+    _, ref_digest = _direct(name, engine)
+    entered, gate = threading.Event(), threading.Event()
+
+    def held_compile(circuit, options):
+        entered.set()
+        gate.wait(WAIT_S)
+        return compile_circuit(circuit, options)
+
+    async def go():
+        async with SimulationServer(workers=1, mode="thread",
+                                    config=CONFIG,
+                                    preempt_grain=4) as server:
+            low = await server.submit(tenant="a", design=name,
+                                      engine=engine, cycles=_budget(name),
+                                      priority=1)
+            assert await asyncio.to_thread(entered.wait, WAIT_S)
+            assert low.state == "compiling"
+            high = await server.submit(tenant="b", design=name,
+                                       engine=engine, cycles=_budget(name),
+                                       priority=2)
+            assert low.preempt_flag.is_set(), "no victim was picked"
+            gate.set()
+            low_done = await server.wait(low.id, timeout=WAIT_S)
+            high_done = await server.wait(high.id, timeout=WAIT_S)
+            return low_done, high_done, server.counter["preempted"]
+
+    with mock.patch.object(serve_server, "compile_circuit", held_compile):
+        low, high, preempted = asyncio.run(go())
+    assert low.state == "done" and high.state == "done"
+    assert low.preemptions == 1 and preempted == 1
+    assert high.preemptions == 0
     assert low.result["state_sha256"] == ref_digest
     assert high.result["state_sha256"] == ref_digest
 
