@@ -1,35 +1,25 @@
-"""Compile-time benchmark: cold vs warm cache, serial vs parallel.
+"""Compile-time benchmark: cold vs warm compile cache.
 
 The compile-side companion of ``bench_engine.py`` (the paper reports
 compile time as a first-class metric, Table 8 / Fig. 14).  For every
 design in the registry this measures, on the prototype grid:
 
-* ``serial_s``   - plain ``compile_circuit`` with ``jobs=1``, no cache;
-* ``parallel_s`` - same with ``jobs=N`` (bit-identity asserted);
+* ``serial_s``   - plain ``compile_circuit``, no cache;
 * ``cold_s``     - compile through an empty content-addressed cache
   (includes key derivation and the artifact store);
 * ``warm_s``     - the same compile again: a cache hit (key derivation +
   unpickle, no pipeline phase runs; bit-identity asserted).
 
-On top of the per-design sweep, a batch section compiles the whole
-design set through ``compile_many`` on the persistent worker pool
-(``repro.pool``): ``batch_serial_s`` with ``jobs=1`` against
-``batch_parallel_s`` with ``jobs=N``, bit-identity asserted pairwise.
-
 Best of ``REPEATS`` runs is reported; each cold repeat uses a fresh
-cache directory.  Two gates enforce PR acceptance criteria: overall
-warm-cache speedup (total cold / total warm) >= 10x, and pooled batch
-compile >= 1.5x serial (only on machines with >= 2 CPUs - the pool
-cannot beat serial on one core, so single-CPU runs record the numbers
-and skip the gate).
+cache directory.  The run fails unless the overall warm-cache speedup
+(total cold / total warm) is >= 10x.
 
 Run with::
 
     PYTHONPATH=src python benchmarks/bench_compile.py
 
 Environment knobs: ``BENCH_COMPILE_REPEATS`` (default 3; CI smoke uses
-1), ``BENCH_COMPILE_JOBS`` (default min(4, CPUs)),
-``BENCH_COMPILE_DESIGNS`` (comma-separated subset).
+1), ``BENCH_COMPILE_DESIGNS`` (comma-separated subset).
 """
 
 from __future__ import annotations
@@ -49,35 +39,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from harness import BENCH_ORDER, circuit_of, _prototype_options  # noqa: E402
 
 from repro.machine.boot import serialize  # noqa: E402
-from repro.compiler import compile_circuit, compile_many  # noqa: E402
+from repro.compiler import compile_circuit  # noqa: E402
 
 REPEATS = int(os.environ.get("BENCH_COMPILE_REPEATS", "3"))
-JOBS = int(os.environ.get("BENCH_COMPILE_JOBS",
-                          str(min(4, os.cpu_count() or 1))))
 DESIGN_SET = [n for n in
               os.environ.get("BENCH_COMPILE_DESIGNS", ",".join(BENCH_ORDER))
               .split(",") if n]
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_compile.json"
 WARM_GATE = 10.0
-POOL_GATE = 1.5
-POOL_GATE_MIN_CPUS = 2
-
-
-def pool_gate_status(cpus: int | None = None) -> tuple[bool, str]:
-    """Whether the >=1.5x pooled-batch gate is armed, and its label.
-
-    The gate only arms with >= ``POOL_GATE_MIN_CPUS`` CPUs: the
-    persistent worker pool needs a second core to overlap compiles, so
-    on a single-CPU box the numbers are recorded but the gate is
-    skipped.  ``cpus=None`` reads ``os.cpu_count()`` (tests pass an
-    explicit count).
-    """
-    if cpus is None:
-        cpus = os.cpu_count() or 1
-    if cpus >= POOL_GATE_MIN_CPUS:
-        return True, f">={POOL_GATE}x"
-    return False, (f"skipped ({cpus} cpu: persistent-pool batch compile "
-                   f"needs >= {POOL_GATE_MIN_CPUS} cores to beat serial)")
 
 
 def _best(fn, repeats: int = REPEATS) -> tuple[float, object]:
@@ -96,11 +65,7 @@ def _measure(name: str, scratch: Path) -> dict:
 
     serial_s, serial = _best(
         lambda: compile_circuit(circuit_of(name), base))
-    parallel_s, parallel = _best(
-        lambda: compile_circuit(circuit_of(name), replace(base, jobs=JOBS)))
     ref = serialize(serial.program)
-    assert serialize(parallel.program) == ref, (
-        f"{name}: jobs={JOBS} binary differs from jobs=1")
 
     # Cold: every repeat sees an empty cache directory.
     cold_s = float("inf")
@@ -124,43 +89,10 @@ def _measure(name: str, scratch: Path) -> dict:
 
     return {
         "serial_s": round(serial_s, 4),
-        "parallel_s": round(parallel_s, 4),
-        "parallel_speedup": round(serial_s / parallel_s, 2),
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 4),
         "warm_speedup": round(cold_s / warm_s, 2),
         "bit_identical": True,
-    }
-
-
-def _measure_batch() -> dict:
-    """Whole-design-set ``compile_many``: serial loop vs the persistent
-    worker pool.  Same-machine, same-set — this is the number the pool
-    exists for (PR-2's per-phase fan-out lost to serial)."""
-    base = _prototype_options()
-    # At least two workers so the pooled path actually runs - on a
-    # single-CPU machine the number is recorded but the gate skipped.
-    batch_jobs = max(2, JOBS)
-
-    serial_s, serial = _best(lambda: compile_many(
-        [circuit_of(n) for n in DESIGN_SET], replace(base, jobs=1)))
-    parallel_s, parallel = _best(lambda: compile_many(
-        [circuit_of(n) for n in DESIGN_SET],
-        replace(base, jobs=batch_jobs)))
-    for name, s, p in zip(DESIGN_SET, serial, parallel):
-        assert serialize(p.program) == serialize(s.program), (
-            f"{name}: pooled batch binary differs from serial batch")
-
-    speedup = serial_s / parallel_s if parallel_s else 0.0
-    _, gate_label = pool_gate_status()
-    return {
-        "designs": len(DESIGN_SET),
-        "jobs": batch_jobs,
-        "batch_serial_s": round(serial_s, 4),
-        "batch_parallel_s": round(parallel_s, 4),
-        "batch_speedup": round(speedup, 2),
-        "bit_identical": True,
-        "pool_gate": gate_label,
     }
 
 
@@ -172,17 +104,10 @@ def main() -> int:
             results[name] = _measure(name, scratch)
             r = results[name]
             print(f"{name:>6}: serial {r['serial_s']:7.3f}s   "
-                  f"jobs={JOBS} {r['parallel_s']:7.3f}s "
-                  f"({r['parallel_speedup']:4.2f}x)   "
                   f"cold {r['cold_s']:7.3f}s   warm {r['warm_s']:7.4f}s "
                   f"({r['warm_speedup']:6.1f}x)")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-
-    batch = _measure_batch()
-    print(f" batch: serial {batch['batch_serial_s']:7.3f}s   "
-          f"pool jobs={batch['jobs']} {batch['batch_parallel_s']:7.3f}s "
-          f"({batch['batch_speedup']:4.2f}x, gate {batch['pool_gate']})")
 
     total_cold = sum(r["cold_s"] for r in results.values())
     total_warm = sum(r["warm_s"] for r in results.values())
@@ -190,10 +115,8 @@ def main() -> int:
     payload = {
         "grid": "15x15",
         "repeats": REPEATS,
-        "jobs": JOBS,
         "cpus": os.cpu_count(),
         "designs": results,
-        "batch": batch,
         "total_cold_s": round(total_cold, 3),
         "total_warm_s": round(total_warm, 4),
         "overall_warm_speedup": round(overall, 1),
@@ -201,18 +124,11 @@ def main() -> int:
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUT_PATH}  (overall warm speedup {overall:.1f}x)")
 
-    status = 0
     if overall < WARM_GATE:
         print(f"FAIL: overall warm-cache speedup {overall:.1f}x < "
               f"{WARM_GATE}x", file=sys.stderr)
-        status = 1
-    if (pool_gate_status()[0]
-            and batch["batch_speedup"] < POOL_GATE):
-        print(f"FAIL: pooled batch compile {batch['batch_speedup']}x < "
-              f"{POOL_GATE}x serial on {os.cpu_count()} CPUs",
-              file=sys.stderr)
-        status = 1
-    return status
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -70,7 +70,6 @@ def _measure(name: str, engine: str) -> tuple[float, int]:
 
 
 def main() -> int:
-    # One concurrent compile_many fan-out instead of nine serial compiles.
     precompile(BENCH_DESIGNS, grid_side=GRID_SIDE)
     results: dict[str, dict] = {}
     for name in BENCH_DESIGNS:

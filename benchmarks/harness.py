@@ -32,8 +32,8 @@ BENCH_ORDER = ["vta", "mc", "noc", "mm", "rv32r", "cgra", "bc", "blur",
 PLATFORMS = {"i7": I7_9700K, "xeon": XEON_8272CL, "epyc": EPYC_7V73X}
 
 
-#: In-session compile memos, keyed like the old ``lru_cache`` calls but
-#: seedable by :func:`precompile` (batch ``compile_many`` fan-out).
+#: In-session compile memos, keyed like the old ``lru_cache`` calls and
+#: seedable up front by :func:`precompile`.
 _COMPILED: dict[tuple, object] = {}
 _GRID_COMPILED: dict[tuple[str, int], object] = {}
 
@@ -81,32 +81,18 @@ def _grid_compile(name: str, grid_side: int):
     return _GRID_COMPILED[key]
 
 
-def precompile(names=None, jobs: int | None = None,
-               grid_side: int | None = None) -> None:
-    """Batch-compile a design set concurrently (``compile_many``) and
-    seed the session memos, so figure sweeps and the engine benchmark pay
-    one parallel fan-out instead of nine serial compiles.
+def precompile(names=None, grid_side: int | None = None) -> None:
+    """Compile a design set up front and seed the session memos.
 
     ``grid_side=None`` targets the prototype grid used by the table and
     figure experiments; an explicit side seeds the small-grid cache that
-    :func:`machine_for` uses.  ``jobs=None`` means one worker per CPU.
+    :func:`machine_for` uses.
     """
-    from repro.compiler import compile_many
-
-    names = list(BENCH_ORDER if names is None else names)
-    if grid_side is None:
-        memo, options = _COMPILED, _prototype_options()
-        key_of = (lambda n: (n, None, "balanced", True))
-    else:
-        memo, options = _GRID_COMPILED, _grid_options(grid_side)
-        key_of = (lambda n: (n, grid_side))
-    missing = [n for n in names if key_of(n) not in memo]
-    if not missing:
-        return
-    results = compile_many([circuit_of(n) for n in missing], options,
-                           jobs=(-1 if jobs is None else jobs))
-    for name, result in zip(missing, results):
-        memo[key_of(name)] = result
+    for name in (BENCH_ORDER if names is None else names):
+        if grid_side is None:
+            compile_design(name)
+        else:
+            _grid_compile(name, grid_side)
 
 
 def machine_for(name: str, engine: str = "strict", grid_side: int = 8,

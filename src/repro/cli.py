@@ -41,7 +41,7 @@ def _grid_config(args):
 
 
 def _compiler_options(args):
-    """CompilerOptions from the shared compile flags (grid, cache, jobs).
+    """CompilerOptions from the shared compile flags (grid, cache).
 
     The CLI opts into the compile cache by default (``~/.cache/
     repro-compile`` or ``$REPRO_COMPILE_CACHE``); ``--no-cache`` turns it
@@ -52,8 +52,7 @@ def _compiler_options(args):
     cache_dir = None
     if not args.no_cache:
         cache_dir = args.cache_dir or str(default_cache_dir())
-    return CompilerOptions(config=_grid_config(args), jobs=args.jobs,
-                           cache_dir=cache_dir)
+    return CompilerOptions(config=_grid_config(args), cache_dir=cache_dir)
 
 
 def cmd_simulate(args) -> int:
@@ -758,10 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("X", "Y"), help="Manticore grid size")
 
     def add_compile_flags(p):
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the parallel compiler "
-                            "phases (1 = serial, -1 = one per CPU; the "
-                            "output is bit-identical either way)")
         p.add_argument("--cache-dir", metavar="DIR",
                        help="compile-cache directory (default: "
                             "$REPRO_COMPILE_CACHE or ~/.cache/"

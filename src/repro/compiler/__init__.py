@@ -17,7 +17,6 @@ from .driver import (
     PhaseTimes,
     compile_circuit,
 )
-from .parallel import compile_many, parallel_map, resolve_jobs
 from .lower import CompilerError, LowerOptions, lower_circuit
 from .merge import build_processes, merge_balanced, merge_lpt
 from .schedule import ScheduledProgram, schedule
@@ -35,10 +34,10 @@ __all__ = [
     "CompilerError", "CompilerOptions", "CustomSynthesisResult",
     "LowerOptions", "PartitionedProgram", "PhaseTimes",
     "ScheduledProgram", "build_processes", "compile_cache_key",
-    "compile_circuit", "compile_many",
+    "compile_circuit",
     "common_subexpression_elimination", "constant_fold",
     "dead_code_elimination", "default_cache_dir", "lower_circuit",
     "merge_balanced", "merge_lpt", "optimize", "options_fingerprint",
-    "parallel_map", "resolve_jobs", "schedule", "split",
+    "schedule", "split",
     "synthesize_custom_functions", "VerificationError", "verify_program",
 ]

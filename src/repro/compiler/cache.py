@@ -12,7 +12,7 @@ CompileResult` artifacts by
   op-insertion order;
 * the **options fingerprint** (:func:`options_fingerprint`) - every
   semantic :class:`~repro.compiler.driver.CompilerOptions` field
-  (non-semantic knobs like ``jobs`` and ``cache_dir`` are excluded
+  (the non-semantic ``cache_dir`` and ``cache_max_bytes`` are excluded
   because they never change the produced binary);
 * a **compiler-version salt** (:data:`CACHE_SCHEMA_VERSION`) so stale
   artifacts from an older compiler are never replayed.
@@ -52,7 +52,7 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 #: ``CompilerOptions`` fields that never change the compiled binary and
 #: therefore must not contribute to the cache key.
-NON_SEMANTIC_OPTIONS = frozenset({"jobs", "cache_dir", "cache_max_bytes"})
+NON_SEMANTIC_OPTIONS = frozenset({"cache_dir", "cache_max_bytes"})
 
 
 def default_cache_dir() -> Path:

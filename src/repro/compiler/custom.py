@@ -356,17 +356,15 @@ def _select_milp(candidates: list[Candidate],
 ZERO_REG = "$c0000"
 
 
-def _synthesize_process(payload: tuple[int, Process, int, bool],
-                        ) -> tuple[int, list[isa.Instruction], list[int],
+def _synthesize_process(pid: int, proc: Process, max_functions: int,
+                        use_milp: bool,
+                        ) -> tuple[list[isa.Instruction], list[int],
                                    bool, ProcessSynthesisStats]:
     """Synthesis for one process as a pure function.
 
-    Returns ``(pid, new_body, cfu, needs_zero, stats)`` without mutating
-    the input, so it can run in a pool worker (module-level + picklable)
-    and the parent can apply results in pid order - the ``jobs=N`` path
-    of :func:`synthesize_custom_functions`.
+    Returns ``(new_body, cfu, needs_zero, stats)`` without mutating
+    ``proc``; :func:`synthesize_custom_functions` applies them.
     """
-    pid, proc, max_functions, use_milp = payload
     before = len(proc.body)
     candidates = _enumerate_candidates(proc)
     chosen: list[Candidate] | None = None
@@ -407,31 +405,20 @@ def _synthesize_process(payload: tuple[int, Process, int, bool],
         fused_cones=len(chosen),
         functions_used=len(cfu),
     )
-    return pid, new_body, cfu, needs_zero, stats
+    return new_body, cfu, needs_zero, stats
 
 
 def synthesize_custom_functions(image: ProgramImage,
                                 max_functions: int =
                                 isa.NUM_CUSTOM_FUNCTIONS,
                                 use_milp: bool = True,
-                                jobs: int | None = None,
                                 ) -> CustomSynthesisResult:
-    """Fuse logic chains in every process; mutates ``image`` in place.
-
-    ``jobs > 1`` fans the per-process synthesis (the compile-time
-    hotspot: cut enumeration + truth tables + MILP) over a process pool.
-    Results are applied in pid order, so the rewritten image is identical
-    to the serial one.
-    """
-    from .parallel import parallel_map
-
+    """Fuse logic chains in every process; mutates ``image`` in place."""
     result = CustomSynthesisResult()
-    pids = sorted(image.processes)
-    payloads = [(pid, image.processes[pid], max_functions, use_milp)
-                for pid in pids]
-    for pid, new_body, cfu, needs_zero, stats in parallel_map(
-            _synthesize_process, payloads, jobs):
+    for pid in sorted(image.processes):
         proc = image.processes[pid]
+        new_body, cfu, needs_zero, stats = _synthesize_process(
+            pid, proc, max_functions, use_milp)
         if needs_zero:
             proc.reg_init.setdefault(ZERO_REG, 0)
         proc.body = new_body

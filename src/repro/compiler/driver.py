@@ -54,10 +54,6 @@ class CompilerOptions:
     # Non-semantic knobs (never change the produced binary; excluded
     # from the compile-cache key, see cache.NON_SEMANTIC_OPTIONS).
     # ------------------------------------------------------------------
-    #: worker processes for the parallel phases (custom synthesis and
-    #: per-core schedule construction) and for ``compile_many``.
-    #: 1 = serial, -1 = one per CPU.  Any value is bit-identical to 1.
-    jobs: int = 1
     #: directory of the content-addressed compile cache; ``None``
     #: disables caching (the library default - the CLI and benchmark
     #: harness opt in).
@@ -159,10 +155,7 @@ def compile_circuit(circuit: Circuit,
     When ``options.cache_dir`` is set, the content-addressed compile
     cache (:mod:`repro.compiler.cache`) is consulted first: a hit
     returns the stored artifact (bit-identical ``MachineProgram``)
-    without running any phase; a miss compiles and stores.  When
-    ``options.jobs > 1``, custom-function synthesis and per-core
-    schedule construction fan out over a process pool - the output is
-    bit-identical to ``jobs=1`` either way.
+    without running any phase; a miss compiles and stores.
     """
     from .cache import cache_from_options
 
@@ -243,15 +236,13 @@ def _compile_uncached(circuit: Circuit,
         custom_result = None
         if options.enable_custom_functions:
             custom_result = synthesize_custom_functions(
-                image, use_milp=(options.custom_selector == "milp"),
-                jobs=options.jobs)
+                image, use_milp=(options.custom_selector == "milp"))
     times.custom = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     with _span("compile.schedule"):
         scheduled = schedule(image, config,
-                             coalesce_state=options.coalesce_state,
-                             jobs=options.jobs)
+                             coalesce_state=options.coalesce_state)
     times.schedule = time.perf_counter() - t0
 
     t0 = time.perf_counter()

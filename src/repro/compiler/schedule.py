@@ -319,29 +319,9 @@ def _place(image: ProgramImage, pids: list[int],
     return placement
 
 
-def _build_core_state(payload) -> _CoreState:
-    """Construct one core's scheduling state (dependence graph, coalesce
-    analysis, topo order, critical-path heights).  Module-level and pure
-    so ``jobs=N`` can fan it out over a process pool - this front half of
-    the scheduler is embarrassingly parallel per core, while the global
-    cycle-by-cycle NoC simulation below stays serial (links are shared)."""
-    core_id, pid, body, persistent, config, allow_coalesce = payload
-    return _CoreState(core_id, pid, body, persistent, config,
-                      allow_coalesce=allow_coalesce)
-
-
 def schedule(image: ProgramImage, config: MachineConfig,
-             coalesce_state: bool = True,
-             jobs: int | None = None) -> ScheduledProgram:
-    """Schedule every process of ``image`` onto the grid.
-
-    ``jobs > 1`` parallelizes the per-core dependence/priority
-    construction; the resulting schedule is identical to ``jobs=1``
-    (states are rebuilt in pid order and the global list-scheduling loop
-    is unchanged).
-    """
-    from .parallel import parallel_map
-
+             coalesce_state: bool = True) -> ScheduledProgram:
+    """Schedule every process of ``image`` onto the grid."""
     pids = sorted(image.processes)
     if len(pids) > config.num_cores:
         raise CompilerError(
@@ -349,17 +329,17 @@ def schedule(image: ProgramImage, config: MachineConfig,
         )
     placement = _place(image, pids, config)
 
-    payloads = []
+    # Per-core scheduling state (dependence graph, coalesce analysis,
+    # topo order, critical-path heights), built in pid order ahead of
+    # the global cycle-by-cycle NoC simulation (links are shared).
+    cores: dict[int, _CoreState] = {}
     for pid in pids:
         proc = image.processes[pid]
         persistent = set(proc.reg_init) | set(
             image.receive_regs.get(pid, ()))
-        payloads.append((placement[pid], pid, proc.body, persistent,
-                         config, coalesce_state))
-    cores: dict[int, _CoreState] = {
-        st.core_id: st
-        for st in parallel_map(_build_core_state, payloads, jobs)
-    }
+        cores[placement[pid]] = _CoreState(
+            placement[pid], pid, proc.body, persistent, config,
+            allow_coalesce=coalesce_state)
 
     import heapq
 

@@ -5,8 +5,8 @@ golden strict interpreter bit-for-bit: the interpreter's own compiled
 engine, the Verilator-like serial baseline, and the Manticore toolchain
 (compile + machine model) under strict/fast/codegen engines and a
 matrix of :class:`~repro.compiler.CompilerOptions` variants (merge
-strategy, mem2reg, state coalescing, custom-function selector, parallel
-``jobs``, compile cache on/off).
+strategy, mem2reg, state coalescing, custom-function selector, compile
+cache on/off).
 
 :func:`run_matrix` executes a circuit through a list of oracles and
 reports each disagreement as a :class:`Divergence` naming the first
@@ -121,7 +121,6 @@ ORACLES: dict[str, OracleSpec] = {
         _machine("machine-strict-lpt", merge_strategy="lpt"),
         _machine("machine-strict-greedy", custom_selector="greedy"),
         _machine("machine-strict-nocustom", enable_custom_functions=False),
-        _machine("machine-strict-jobs2", jobs=2),
         _machine("machine-strict-cached", through_cache=True),
         _machine("machine-fast-nomem2reg", engine="fast",
                  mem2reg_max_words=0),
@@ -154,7 +153,7 @@ MATRICES: dict[str, tuple[str, ...]] = {
              "machine-fast", "machine-strict-nomem2reg",
              "machine-strict-nocoalesce", "machine-strict-lpt",
              "machine-strict-greedy", "machine-strict-nocustom",
-             "machine-strict-jobs2", "machine-strict-cached",
+             "machine-strict-cached",
              "machine-fast-nomem2reg", "machine-fast-profiled",
              "machine-fast-ckpt", "machine-codegen",
              "machine-codegen-trust0", "machine-codegen-ckpt",

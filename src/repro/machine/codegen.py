@@ -1298,7 +1298,10 @@ def _stop_stmts(instr, park_pi, mid, n_scratch, binary) -> list[str]:
 # ---------------------------------------------------------------------------
 # Content-addressed source cache.
 # ---------------------------------------------------------------------------
-_KEYS: dict[int, tuple[str, str]] = {}
+#: ``id(program) -> (MachineConfig, base key)``.  ``MachineConfig`` is a
+#: frozen dataclass of scalars, so ``==`` is field equality and a hit
+#: needs no ``config_repr``.
+_KEYS: dict[int, tuple["MachineConfig", str]] = {}
 
 
 def _stripped_program_bytes(program) -> bytes:
@@ -1321,12 +1324,13 @@ def _stripped_program_bytes(program) -> bytes:
 
 
 def _content_key(machine: "Machine", variant: str = "scalar") -> str:
-    config_repr = repr(sorted(dataclasses.asdict(machine.config).items()))
+    config = machine.config
     pid = id(machine.program)
     cached = _KEYS.get(pid)
-    if cached is not None and cached[0] == config_repr:
+    if cached is not None and (cached[0] is config or cached[0] == config):
         base = cached[1]
     else:
+        config_repr = repr(sorted(dataclasses.asdict(config).items()))
         h = hashlib.sha256()
         h.update(f"codegen-v{CODEGEN_SCHEMA_VERSION}".encode())
         h.update(config_repr.encode())
@@ -1336,7 +1340,7 @@ def _content_key(machine: "Machine", variant: str = "scalar") -> str:
             # the key to the program object (evicted with it so ids
             # can't alias)
             weakref.finalize(machine.program, _KEYS.pop, pid, None)
-            _KEYS[pid] = (config_repr, base)
+            _KEYS[pid] = (config, base)
         except TypeError:
             pass
     if variant == "scalar":

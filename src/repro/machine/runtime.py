@@ -55,7 +55,6 @@ def simulate_on_manticore(circuit: Circuit, max_vcycles: int = 1_000_000,
                           through_bootloader: bool = True,
                           engine: str | None = None,
                           cache_dir: str | None = None,
-                          jobs: int | None = None,
                           profiler=None) -> SimulationRun:
     """Compile a circuit, (optionally) round-trip it through the
     bootloader binary format, and execute it on the machine model.
@@ -65,11 +64,10 @@ def simulate_on_manticore(circuit: Circuit, max_vcycles: int = 1_000_000,
     verify-once-then-trust compiled engines, bit-identical to strict
     but much faster on long runs, with ``"codegen"`` the fastest).
 
-    ``cache_dir`` and ``jobs`` override the corresponding
-    :class:`~repro.compiler.driver.CompilerOptions` knobs: with a cache
+    ``cache_dir`` overrides the corresponding
+    :class:`~repro.compiler.driver.CompilerOptions` knob: with a cache
     directory set, repeated simulations of the same circuit skip
-    compilation entirely (content-addressed compile cache); ``jobs > 1``
-    fans the parallel compiler phases over worker processes.  Both are
+    compilation entirely (content-addressed compile cache).  It is
     output-invariant.
 
     ``profiler`` attaches a :class:`repro.obs.Profiler` to the machine;
@@ -79,14 +77,9 @@ def simulate_on_manticore(circuit: Circuit, max_vcycles: int = 1_000_000,
 
     from ..compiler.driver import CompilerOptions, compile_circuit
 
-    if cache_dir is not None or jobs is not None:
-        options = options or CompilerOptions()
-        overrides: dict = {}
-        if cache_dir is not None:
-            overrides["cache_dir"] = cache_dir
-        if jobs is not None:
-            overrides["jobs"] = jobs
-        options = dataclasses.replace(options, **overrides)
+    if cache_dir is not None:
+        options = dataclasses.replace(options or CompilerOptions(),
+                                      cache_dir=cache_dir)
 
     result = compile_circuit(circuit, options)
     program = result.program

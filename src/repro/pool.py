@@ -1,51 +1,41 @@
-"""Persistent worker-process pool.
+"""Leased worker processes for the job server's process mode.
 
-The PR-2 parallel compiler forked a fresh ``ProcessPoolExecutor`` for
-every parallel phase, so each ``jobs=N`` compile paid pool spawn +
-module import + full argument pickling per phase — and measured
-*slower* than serial (0.52–0.83× in ``BENCH_compile.json``).  This
-module replaces that with a pool of **persistent** workers:
+A :class:`PersistentPool` hands out dedicated worker processes as
+:class:`WorkerLease` objects (:mod:`repro.serve`, ``mode="process"``):
 
-* workers are spawned **once** per process (module-level registry,
-  reused across every compile in the session, torn down at interpreter
-  exit);
-* tasks name their function by ``module:qualname`` — only the function
-  *reference* and the argument chunk cross the pipe, never code
-  objects, and with the default ``fork`` start method the worker
-  already holds every imported module warm;
-* items are split into **contiguous chunks** (one per worker) so
-  results reassemble in input order and a ``jobs=N`` map stays
-  bit-identical to the serial list comprehension;
-* a dead worker (segfault, ``os._exit``, OOM-kill) is respawned and
-  its chunk retried **once**; a second death raises
-  :class:`PoolWorkerLost` — the pool recovers or fails loudly, it
-  never hangs.
+* a lease pins one process, so a sequence of calls shares its warm
+  state (imported modules, page cache); :meth:`PersistentPool.reclaim`
+  keeps a healthy worker as a spare for the next lease, so steady-state
+  leasing spawns nothing;
+* tasks name their function by ``module:qualname`` - only the function
+  *reference* and the argument cross the pipe, never code objects, and
+  with the default ``fork`` start method the worker already holds every
+  imported module warm;
+* a dead worker (segfault, ``os._exit``, OOM-kill) raises
+  :class:`PoolWorkerLost` at once - the caller retries on a fresh lease
+  or fails loudly, it never hangs.
 
 Worker exceptions are pickled back and re-raised in the parent with
-their original type, so error behavior matches the serial path.  The
-start method is ``fork`` where available (cheapest, inherits warm
-modules) and can be overridden with ``REPRO_POOL_START=spawn`` for
-platforms or tests that need it.
+their original type.  The start method is ``fork`` where available
+(cheapest, inherits warm modules) and can be overridden with
+``REPRO_POOL_START=spawn`` for platforms or tests that need it.
 """
 
 from __future__ import annotations
 
-import atexit
 import importlib
 import multiprocessing as mp
 import os
 import pickle
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
 class PoolWorkerLost(RuntimeError):
-    """A worker died and its replacement died too — the task chunk is
-    undeliverable.  Raised instead of hanging; callers may fall back to
-    the serial path (which either succeeds or reproduces the real
-    error)."""
+    """A leased worker died mid-task.  Raised instead of hanging; the
+    caller decides whether to retry on a fresh lease."""
 
 
 def start_method() -> str:
@@ -70,9 +60,7 @@ def task_ref(fn: Callable) -> tuple[str, str]:
     """``(module, qualname)`` for a pool-dispatchable function.
 
     Raises :class:`pickle.PicklingError` for anything that cannot be
-    re-imported by name in a worker (lambdas, closures, bound methods)
-    so callers can fall back to their serial path — the same contract
-    the old executor-based pool had.
+    re-imported by name in a worker (lambdas, closures, bound methods).
     """
     module = getattr(fn, "__module__", None)
     qualname = getattr(fn, "__qualname__", None)
@@ -88,23 +76,16 @@ def task_ref(fn: Callable) -> tuple[str, str]:
 
 
 def _worker_main(conn) -> None:
-    """Loop: receive ``("map", module, qualname, chunk)`` tasks, reply
-    ``("ok", results)`` / ``("err", pickled_exception)``.  Exits on
-    ``("exit",)`` or when the parent's end of the pipe closes."""
+    """Loop: receive ``(module, qualname, item)`` tasks, reply
+    ``("ok", result)`` / ``("err", pickled_exception)``.  Exits when the
+    parent's end of the pipe closes."""
     while True:
         try:
-            msg = conn.recv()
+            module, qualname, item = conn.recv()
         except (EOFError, OSError):
             return
-        if msg[0] == "exit":
-            return
-        if msg[0] == "ping":
-            conn.send(("pong", os.getpid()))
-            continue
-        _, module, qualname, chunk = msg
         try:
-            fn = _resolve(module, qualname)
-            out = ("ok", [fn(item) for item in chunk])
+            out = ("ok", _resolve(module, qualname)(item))
         except BaseException as exc:  # noqa: BLE001 — shipped to parent
             try:
                 blob = pickle.dumps(exc)
@@ -143,20 +124,12 @@ class _Worker:
 
 class WorkerLease:
     """A worker process leased out of a :class:`PersistentPool` for
-    exclusive, stateful use (the :mod:`repro.serve` job executors).
+    exclusive, stateful use.  Any pipe failure raises
+    :class:`PoolWorkerLost` immediately."""
 
-    Unlike :meth:`PersistentPool.map` - which chunks one call over the
-    shared workers - a lease pins a single process so a sequence of
-    calls shares that process's warm state (imported modules, page
-    cache).  A lease never hangs on a dead worker: any pipe failure
-    raises :class:`PoolWorkerLost` immediately, and the caller decides
-    whether to retry on a fresh lease or fail the job.
-    """
+    __slots__ = ("_worker", "closed")
 
-    __slots__ = ("_pool", "_worker", "closed")
-
-    def __init__(self, pool: "PersistentPool", worker: _Worker) -> None:
-        self._pool = pool
+    def __init__(self, worker: _Worker) -> None:
         self._worker = worker
         self.closed = False
 
@@ -180,7 +153,7 @@ class WorkerLease:
         module, qualname = task_ref(fn)
         w = self._worker
         try:
-            w.conn.send(("map", module, qualname, [item]))
+            w.conn.send((module, qualname, item))
             reply = w.conn.recv()
         except (EOFError, BrokenPipeError, OSError):
             raise PoolWorkerLost(
@@ -188,130 +161,23 @@ class WorkerLease:
                 f"{module}:{qualname}") from None
         if reply[0] == "err":
             raise pickle.loads(reply[1])
-        return reply[1][0]
+        return reply[1]
 
 
 class PersistentPool:
-    """``workers`` persistent processes executing chunked maps."""
+    """Worker processes handed out as leases and kept warm as spares."""
 
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
+    def __init__(self) -> None:
         self._ctx = mp.get_context(start_method())
-        self._procs: list[_Worker | None] = [None] * workers
         #: healthy workers returned by :meth:`reclaim`, reused by the
         #: next :meth:`lease` so steady-state leasing spawns nothing.
         self._spares: list[_Worker] = []
         #: leases currently out, so :meth:`close` can tear them down.
         self._leased: list[WorkerLease] = []
-        self.respawns = 0
 
-    # ------------------------------------------------------------------
-    def _worker(self, i: int) -> _Worker:
-        w = self._procs[i]
-        if w is None or not w.alive:
-            if w is not None:
-                w.kill()
-            w = _Worker(self._ctx)
-            self._procs[i] = w
-        return w
-
-    @property
-    def pids(self) -> list[int | None]:
-        return [w.proc.pid if w is not None and w.alive else None
-                for w in self._procs]
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _chunks(items: Sequence, n: int) -> list[Sequence]:
-        k, m = divmod(len(items), n)
-        out, pos = [], 0
-        for i in range(n):
-            size = k + (1 if i < m else 0)
-            out.append(items[pos:pos + size])
-            pos += size
-        return out
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        """``[fn(x) for x in items]`` over the persistent workers.
-
-        Input order is preserved (contiguous chunks reassembled by
-        index).  Worker exceptions re-raise here with their original
-        type; a twice-dead worker raises :class:`PoolWorkerLost`.
-        """
-        items = list(items)
-        if not items:
-            return []
-        module, qualname = task_ref(fn)
-        n = min(self.workers, len(items))
-        chunks = [c for c in self._chunks(items, n) if c]
-        task = ("map", module, qualname)
-
-        def _bury(i: int) -> None:
-            w = self._procs[i]
-            if w is not None:
-                w.kill()
-            self._procs[i] = None
-            self.respawns += 1
-
-        def _retry(i: int, chunk) -> tuple[str, object]:
-            """One fresh-worker attempt after a death; a second death
-            fails loudly instead of hanging."""
-            w = self._worker(i)
-            try:
-                w.conn.send((*task, chunk))
-                return w.conn.recv()
-            except (EOFError, BrokenPipeError, OSError):
-                _bury(i)
-                raise PoolWorkerLost(
-                    f"pool worker {i} died twice running "
-                    f"{module}:{qualname} on a {len(chunk)}-item chunk"
-                ) from None
-
-        # Pipeline: send every chunk before draining replies so the
-        # workers overlap; deaths detected at recv() retry synchronously.
-        sent: list[bool] = []
-        for i, chunk in enumerate(chunks):
-            w = self._worker(i)
-            try:
-                w.conn.send((*task, chunk))
-                sent.append(True)
-            except (BrokenPipeError, OSError):
-                _bury(i)
-                sent.append(False)
-
-        results: list[R] = []
-        error: BaseException | None = None
-        for i, chunk in enumerate(chunks):
-            try:
-                if sent[i]:
-                    try:
-                        reply = self._procs[i].conn.recv()
-                    except (EOFError, OSError):
-                        _bury(i)
-                        reply = _retry(i, chunk)
-                else:
-                    reply = _retry(i, chunk)
-            except PoolWorkerLost as exc:
-                error = error or exc
-                continue
-            if reply[0] == "err":
-                error = error or pickle.loads(reply[1])
-                continue
-            results.extend(reply[1])
-        if error is not None:
-            raise error
-        return results
-
-    # ------------------------------------------------------------------
-    # Leasing: dedicated workers for stateful callers (repro.serve).
-    # ------------------------------------------------------------------
     def lease(self) -> WorkerLease:
         """Claim a dedicated worker process (reusing a reclaimed spare
-        when one is alive, spawning otherwise).  Leased workers are
-        tracked separately from the ``map`` workers, so leasing never
-        perturbs chunked-map scheduling."""
+        when one is alive, spawning otherwise)."""
         worker = None
         while self._spares:
             candidate = self._spares.pop()
@@ -321,7 +187,7 @@ class PersistentPool:
             candidate.kill()
         if worker is None:
             worker = _Worker(self._ctx)
-        lease = WorkerLease(self, worker)
+        lease = WorkerLease(worker)
         self._leased.append(lease)
         return lease
 
@@ -338,56 +204,12 @@ class PersistentPool:
         else:
             lease._worker.kill()
 
-    # ------------------------------------------------------------------
-    def ping(self) -> list[int]:
-        """Round-trip every worker; returns their PIDs (spawning any
-        that are missing)."""
-        pids = []
-        for i in range(self.workers):
-            w = self._worker(i)
-            w.conn.send(("ping",))
-            pids.append(w.conn.recv()[1])
-        return pids
-
     def close(self) -> None:
-        for lease in list(self._leased):
+        """Kill every leased and spare worker."""
+        for lease in self._leased:
             lease.closed = True
             lease._worker.kill()
         self._leased.clear()
         for w in self._spares:
             w.kill()
         self._spares.clear()
-        for i, w in enumerate(self._procs):
-            if w is None:
-                continue
-            try:
-                w.conn.send(("exit",))
-            except (BrokenPipeError, OSError):
-                pass
-            w.kill()
-            self._procs[i] = None
-
-
-# ----------------------------------------------------------------------
-# Module-level registry: one pool per worker count, reused for every
-# parallel phase in the session so spawn cost is paid once.
-# ----------------------------------------------------------------------
-
-_POOLS: dict[int, PersistentPool] = {}
-
-
-def get_pool(workers: int) -> PersistentPool:
-    pool = _POOLS.get(workers)
-    if pool is None:
-        pool = PersistentPool(workers)
-        _POOLS[workers] = pool
-    return pool
-
-
-def shutdown_pools() -> None:
-    for pool in list(_POOLS.values()):
-        pool.close()
-    _POOLS.clear()
-
-
-atexit.register(shutdown_pools)

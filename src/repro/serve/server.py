@@ -500,7 +500,7 @@ class SimulationServer:
         with) a durable snapshot.  Preemption is honored between
         chunks; a dead worker raises PoolWorkerLost to the caller."""
         if self._pool is None:
-            self._pool = PersistentPool(1)
+            self._pool = PersistentPool()
         lease = await asyncio.to_thread(self._pool.lease)
         job.pids.append(lease.pid or -1)
         try:

@@ -148,6 +148,32 @@ def test_codegen_source_cache_warm_start(tmp_path, monkeypatch):
     _assert_same(cold_m, cold_r, warm_m, warm_r)
 
 
+def test_content_key_hit_skips_config_asdict(monkeypatch):
+    """A second machine of one program and an equal config hits
+    ``_KEYS`` without re-deriving the config repr, and gets the same
+    key a cold derivation gives."""
+    monkeypatch.setattr(cg, "_KEYS", {})
+    program = _program("mc")
+    first = cg._content_key(Machine(program, CONFIG, engine="codegen"))
+    second_m = Machine(program, MachineConfig(grid_x=8, grid_y=8),
+                       engine="codegen")
+
+    calls = []
+    real_asdict = cg.dataclasses.asdict
+
+    def counting_asdict(obj, *args, **kwargs):
+        calls.append(type(obj).__name__)
+        return real_asdict(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cg.dataclasses, "asdict", counting_asdict)
+    assert cg._content_key(second_m) == first
+    assert calls == []
+
+    monkeypatch.setattr(cg, "_KEYS", {})
+    assert cg._content_key(second_m) == first
+    assert calls == ["MachineConfig"]
+
+
 def _flip_byte(data: bytes) -> bytes:
     mid = len(data) // 2
     return data[:mid] + bytes([data[mid] ^ 0x01]) + data[mid + 1:]

@@ -100,8 +100,8 @@ class TestOptionsFingerprint:
     def test_non_semantic_knobs_are_ignored(self):
         base = _tiny_options()
         assert (options_fingerprint(base)
-                == options_fingerprint(_tiny_options(jobs=8))
-                == options_fingerprint(_tiny_options(cache_dir="/x")))
+                == options_fingerprint(_tiny_options(cache_dir="/x"))
+                == options_fingerprint(_tiny_options(cache_max_bytes=1)))
 
     def test_semantic_knobs_invalidate(self):
         base = options_fingerprint(_tiny_options())
@@ -183,6 +183,16 @@ class TestCacheSemantics:
         assert cache_from_options(opts) is None
         result = compile_circuit(counter_circuit(), opts)
         assert result.report.cache is None
+
+    def test_simulate_with_cache(self, tmp_path):
+        from repro.machine.runtime import simulate_on_manticore
+        kw = dict(options=_tiny_options(), cache_dir=str(tmp_path))
+        cold = simulate_on_manticore(counter_circuit(), **kw)
+        warm = simulate_on_manticore(counter_circuit(), **kw)
+        assert cold.report.cache["status"] == "miss"
+        assert warm.report.cache["status"] == "hit"
+        assert warm.displays == cold.displays
+        assert warm.vcycles == cold.vcycles
 
 
 # ----------------------------------------------------------------------

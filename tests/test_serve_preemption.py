@@ -333,7 +333,7 @@ def test_worker_lease_surfaces_death_immediately():
     PoolWorkerLost on the next call instead of blocking."""
     from repro.pool import PersistentPool, PoolWorkerLost
 
-    pool = PersistentPool(1)
+    pool = PersistentPool()
     try:
         lease = pool.lease()
         assert lease.run(len, [1, 2, 3]) == 3
