@@ -13,8 +13,9 @@ fixed seed block:
   (``golden-buggy-sub``) below 10 IR ops;
 * ``batched``     - lane-seeds/s through the batched oracle
   (``fuzz_seed_batch``: one compile, B init-variant lanes per seed, one
-  golden per lane), per vector lowering, with the speedup over the
-  ``engines`` scalar matrix (the ISSUE 7 gate: >= 4x at B=64).
+  golden per lane), with the speedup over the ``engines`` scalar
+  matrix.  Gate: when the ``engines`` matrix ran, the batched oracle
+  must be >= 4x faster per seed (exit 1 otherwise).
 
 Run with::
 
@@ -37,7 +38,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.fuzz import fuzz_seed, fuzz_seed_batch, generate, shrink  # noqa: E402
 from repro.fuzz.shrink import oracle_predicate  # noqa: E402
-from repro.machine.batch_codegen import have_numpy  # noqa: E402
 
 N_SEEDS = int(os.environ.get("BENCH_FUZZ_SEEDS", "5"))
 MATRICES = [m for m in os.environ.get(
@@ -46,6 +46,7 @@ BATCH_WIDTH = int(os.environ.get("BENCH_FUZZ_BATCH", "64"))
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fuzz.json"
 SHRINK_SEED = 7          # known golden-buggy-sub trigger
 SHRINK_BOUND = 10        # acceptance bound on minimized repro size
+BATCH_SPEEDUP_BOUND = 4.0  # batched lane-seeds/s over engines seeds/s
 
 
 def _matrix_rate(matrix: str) -> dict:
@@ -61,11 +62,10 @@ def _matrix_rate(matrix: str) -> dict:
     }
 
 
-def _batched_rate(lowering: str, engines_sps: float | None) -> dict:
+def _batched_rate(engines_sps: float | None) -> dict:
     start = time.perf_counter()
     for seed in range(N_SEEDS):
-        report = fuzz_seed_batch(seed, width=BATCH_WIDTH,
-                                 lowering=lowering)
+        report = fuzz_seed_batch(seed, width=BATCH_WIDTH)
         assert report.ok, report.divergences[0].describe()
         assert not report.rebind_fallback, f"seed {seed} rebind fallback"
     elapsed = time.perf_counter() - start
@@ -90,17 +90,13 @@ def main() -> int:
               f"({r['seeds_per_s']:5.2f} seeds/s)")
 
     engines_sps = results.get("engines", {}).get("seeds_per_s")
-    batched: dict[str, dict] = {}
-    if BATCH_WIDTH:
-        lowerings = ["list"] + (["numpy"] if have_numpy() else [])
-        for lowering in lowerings:
-            batched[lowering] = _batched_rate(lowering, engines_sps)
-            b = batched[lowering]
-            speed = (f", {b['speedup_vs_engines_x']:.1f}x vs engines"
-                     if "speedup_vs_engines_x" in b else "")
-            print(f"batch-{lowering:>5}: {b['seeds']} seeds x "
-                  f"{b['width']} lanes in {b['elapsed_s']:7.2f}s "
-                  f"({b['lane_seeds_per_s']:6.2f} lane-seeds/s{speed})")
+    batched = _batched_rate(engines_sps) if BATCH_WIDTH else {}
+    speedup = batched.get("speedup_vs_engines_x")
+    if batched:
+        speed = f", {speedup:.1f}x vs engines" if speedup else ""
+        print(f" batched: {batched['seeds']} seeds x {batched['width']} "
+              f"lanes in {batched['elapsed_s']:7.2f}s "
+              f"({batched['lane_seeds_per_s']:6.2f} lane-seeds/s{speed})")
 
     circuit = generate(SHRINK_SEED)
     predicate = oracle_predicate("golden-buggy-sub", 24)
@@ -125,11 +121,16 @@ def main() -> int:
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUT_PATH}")
 
+    status = 0
     if shrunk.final_ops > SHRINK_BOUND:
         print(f"FAIL: shrunk repro has {shrunk.final_ops} IR ops > "
               f"{SHRINK_BOUND}", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    if speedup is not None and speedup < BATCH_SPEEDUP_BOUND:
+        print(f"FAIL: batched oracle is {speedup:.2f}x the engines "
+              f"matrix < {BATCH_SPEEDUP_BOUND}x", file=sys.stderr)
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

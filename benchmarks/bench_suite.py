@@ -68,11 +68,11 @@ def _fuzz_headline(d: dict) -> dict:
             name: r["seeds_per_s"] for name, r in d["matrices"].items()},
         "shrink_final_ops": d["shrink"]["final_ops"],
     }
-    for lowering, b in d.get("batched", {}).items():
-        out[f"batch_{lowering}_lane_seeds_per_s"] = b["lane_seeds_per_s"]
+    b = d.get("batched")
+    if b:
+        out["batch_lane_seeds_per_s"] = b["lane_seeds_per_s"]
         if "speedup_vs_engines_x" in b:
-            out[f"batch_{lowering}_speedup_vs_engines_x"] = \
-                b["speedup_vs_engines_x"]
+            out["batch_speedup_vs_engines_x"] = b["speedup_vs_engines_x"]
     return out
 
 

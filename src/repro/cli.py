@@ -223,8 +223,8 @@ def cmd_run(args) -> int:
 
 
 def _run_batch(args, result, config, cycles) -> int:
-    """``repro run --batch N``: N identical lanes of one compiled design
-    advanced in lockstep (``repro.machine.batch``)."""
+    """``repro run --batch N``: N identical lanes of one compiled design,
+    each a scalar machine (``repro.machine.batch``)."""
     import json
     import time
 
@@ -241,7 +241,7 @@ def _run_batch(args, result, config, cycles) -> int:
         return 2
 
     runner = BatchRunner(result.program, config, width=args.batch,
-                         engine=args.engine, lowering=args.batch_lowering)
+                         engine=args.engine)
     start = time.perf_counter()
     outs = runner.run(cycles)
     elapsed = time.perf_counter() - start
@@ -261,7 +261,6 @@ def _run_batch(args, result, config, cycles) -> int:
             "design": args.design or args.file,
             "engine": args.engine,
             "batch_width": args.batch,
-            "lowering": runner.lowering_used,
             "lanes": lanes,
         }, indent=2, sort_keys=True))
     else:
@@ -272,8 +271,7 @@ def _run_batch(args, result, config, cycles) -> int:
             for line in out.displays:
                 print(f"[lane {lane}] {line}")
     total_vcycles = sum(out.vcycles for out in outs)
-    print(f"-- {args.batch} lanes "
-          f"(lowering={runner.lowering_used or 'serial fallback'}), "
+    print(f"-- {args.batch} lanes, "
           f"{total_vcycles} lane-Vcycles in {elapsed:.2f}s "
           f"({total_vcycles / max(elapsed, 1e-9):.0f} lane-Vcycles/s)",
           file=sys.stderr)
@@ -447,7 +445,7 @@ def cmd_fuzz(args) -> int:
 
 def _fuzz_batch(args) -> int:
     """``repro fuzz --batch-width B``: each seed compiled once and run as
-    B stimulus lanes in lockstep, every lane checked against its own
+    B stimulus lanes, every lane checked against its own
     golden (``repro.fuzz.oracle.fuzz_seed_batch``)."""
     import time
 
@@ -464,15 +462,13 @@ def _fuzz_batch(args) -> int:
         if deadline is not None and time.monotonic() > deadline:
             break
         report = fuzz_seed_batch(seed, width=args.batch_width,
-                                 params=params, cycles=args.cycles,
-                                 lowering=args.batch_lowering)
+                                 params=params, cycles=args.cycles)
         tested += 1
         lanes += report.width
         if report.ok:
             if args.verbose:
                 print(f"seed {report.seed}: ok x{report.width} lanes "
-                      f"({report.elapsed:.2f}s, "
-                      f"lowering={report.lowering or 'serial fallback'}"
+                      f"({report.elapsed:.2f}s"
                       + (", rebind fallback" if report.rebind_fallback
                          else "") + ")",
                       file=sys.stderr)
@@ -792,13 +788,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default="strict", choices=list(ENGINES),
                    help="machine execution engine (default: strict)")
     p.add_argument("--batch", type=int, default=0, metavar="N",
-                   help="run N identical lanes of the design in lockstep "
-                        "(batched kernel on the codegen engine; "
-                        "incompatible with --vcd/--checkpoint-*/--resume)")
-    p.add_argument("--batch-lowering", default="auto",
-                   choices=["auto", "list", "numpy"],
-                   help="batched-kernel vector lowering (default: auto = "
-                        "numpy at wide batches when available)")
+                   help="run N identical lanes of the design from one "
+                        "compile, one machine per lane (incompatible "
+                        "with --vcd/--checkpoint-*/--resume)")
     p.add_argument("--vcd", help="write a VCD waveform (on --resume, "
                                  "appends to an existing dump)")
     p.add_argument("--trace", help="comma-separated register prefixes")
@@ -914,12 +906,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generator: maximum wire width")
     p.add_argument("--batch-width", type=int, default=0, metavar="B",
                    help="batched mode: compile each seed once and run B "
-                        "init-variant lanes in lockstep, each lane "
+                        "init-variant lanes, each lane "
                         "checked against its own golden (serial; ignores "
                         "--matrix/--jobs)")
-    p.add_argument("--batch-lowering", default="auto",
-                   choices=["auto", "list", "numpy"],
-                   help="batched-kernel vector lowering (default: auto)")
     p.add_argument("--no-shrink", action="store_true",
                    help="record failing circuits without minimizing them")
     p.add_argument("--list-oracles", action="store_true",

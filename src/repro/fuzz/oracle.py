@@ -574,9 +574,6 @@ class BatchSeedReport:
     divergences: list[Divergence]
     cycles_run: int
     elapsed: float
-    #: Resolved batch lowering ("list"/"numpy"), or None when the
-    #: runner's serial fallback executed the lanes.
-    lowering: str | None
     #: True when the rebind self-check failed and every lane was
     #: compiled fresh instead (itself a signal worth watching: it means
     #: compilation observed a boot value).
@@ -591,17 +588,17 @@ def fuzz_seed_batch(seed: int, width: int = 8,
                     params: GeneratorParams | None = None,
                     cycles: int | None = None,
                     config: MachineConfig = FUZZ_CONFIG,
-                    engine: str = "codegen",
-                    lowering: str = "auto") -> BatchSeedReport:
-    """Differential-test ``width`` stimuli of ``seed``'s circuit in one
-    batched machine pass.
+                    engine: str = "codegen") -> BatchSeedReport:
+    """Differential-test ``width`` stimuli of ``seed``'s circuit from one
+    compile.
 
     Lane 0 is the seed's own circuit; lanes 1..B-1 rebind the generated
     data registers to fresh per-lane boot values
     (:func:`~repro.fuzz.generator.lane_init_overrides`).  Each lane is
     compared - displays, cycle count, finish status - against its own
     golden strict-interpreter run, so one pass checks B seeds' worth of
-    stimulus for the price of one compile plus one batched simulation.
+    stimulus for the price of one compile plus B machine runs that share
+    one kernel.
 
     The compile is shared across lanes via :func:`~repro.machine.batch.
     rebind_reg_inits`; one rebound lane is byte-compared against a
@@ -643,8 +640,7 @@ def fuzz_seed_batch(seed: int, width: int = 8,
                     options).program if ov else result.program
                 for ov in overrides]
 
-    runner = BatchRunner(programs, config, engine=engine,
-                         lowering=lowering)
+    runner = BatchRunner(programs, config, engine=engine)
     outs = runner.run(budget)
     lane_names = []
     divergences: list[Divergence] = []
@@ -661,5 +657,4 @@ def fuzz_seed_batch(seed: int, width: int = 8,
             divergences.append(div)
     return BatchSeedReport(seed, width, params, tuple(lane_names),
                            divergences, goldens[0].cycles,
-                           time.perf_counter() - start,
-                           runner.lowering_used, rebind_fallback)
+                           time.perf_counter() - start, rebind_fallback)

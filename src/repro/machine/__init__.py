@@ -9,13 +9,13 @@ from .cache import Cache, CacheStats
 from .codegen import CodegenUnsupported
 from .config import PROTOTYPE, TINY, MachineConfig
 from .fastpath import FastpathUnsupported
-from .grid import (BATCH_KERNEL_ENGINES, COMPILED_ENGINES, ENGINES,
-                   Machine, MachineResult, PerfCounters)
+from .grid import (COMPILED_ENGINES, ENGINES, Machine, MachineResult,
+                   PerfCounters)
 from .runtime import SimulationRun, simulate_on_manticore
 from .waveform import Probe, WaveformCollector, trace_map_for
 
 __all__ = [
-    "BATCH_KERNEL_ENGINES", "BatchRunner", "Cache", "CacheStats",
+    "BatchRunner", "Cache", "CacheStats",
     "CodegenUnsupported", "COMPILED_ENGINES", "ENGINES",
     "FastpathUnsupported", "Machine", "MachineConfig", "MachineResult",
     "PerfCounters", "PROTOTYPE", "Probe", "SimulationRun", "TINY",

@@ -1,36 +1,22 @@
-"""Batched multi-run execution: advance B independent runs of one
-compiled design in lockstep, one Vcycle at a time.
+"""Batched multi-run execution: B independent runs of one compiled
+design, each on its own scalar machine.
 
 Production traffic and fuzzing share a shape - many runs of the same
-compiled artifact with different inputs - and the static BSP schedule
-makes control flow identical across those runs, so a batch is pure data
-parallelism.  :class:`BatchRunner` owns B per-lane :class:`~repro.
-machine.grid.Machine` instances over (rebound variants of) one program
-and drives them through a single *batched kernel* (:mod:`repro.machine.
-batch_codegen`) in which every register slot holds a per-lane vector.
+compiled artifact with different inputs.  :class:`BatchRunner` owns B
+per-lane :class:`~repro.machine.grid.Machine` instances over (rebound
+variants of) one program and runs them one after another.  The lanes
+share one compile, and on ``engine="codegen"`` one kernel key (the key
+strips boot images), so every lane after the first reuses the emitted
+kernel and, once the key has run enough trusted Vcycles, the native C
+tier.
 
 Semantics contract (enforced by ``tests/test_batch_equivalence.py``):
 the observable state of every lane - displays, finish status, Vcycle
 count, performance counters, cache stats, per-core registers and
 scratchpads - is **bit-identical** to running that lane alone on the
-same engine.  Divergence is handled by masking, not exiting:
-
-* a lane whose privileged ``Expect`` reaches ``$finish`` mid-Vcycle is
-  flushed at the exact abort point and settled through the scalar
-  engine's stop-function replay (producing the exact strict-engine
-  architectural state and counter deltas), then removed from the active
-  set; surviving lanes keep running;
-* a lane that dies on a fatal exception (a failed assertion) records the
-  error and freezes; as with a single run that raised, its in-flight
-  counters for the interrupted pass are not settled - the error string
-  *is* the lane's observable outcome;
-* serviced exceptions (``$display``) drain per-lane inside the Vcycle,
-  so the codegen engine's trust retention applies batch-wide: one
-  display on one lane does not stall or retire the other lanes.
-
-Engines without a vectorized kernel (everything outside
-``grid.BATCH_KERNEL_ENGINES``) run the batch as per-lane serial
-execution - same API, same per-lane results, no lockstep speedup.
+same engine.  A lane that dies on a fatal exception (a failed
+assertion) records the error string as its observable outcome; the
+other lanes still run.
 """
 
 from __future__ import annotations
@@ -41,15 +27,15 @@ from typing import TYPE_CHECKING
 
 from ..isa.instructions import WORD_MASK, WORD_WIDTH
 from ..isa.program import MachineProgram, SimulationFailure
-from . import codegen as cg
-from .batch_codegen import MAX_BATCH_WIDTH, compiled_batch_kernel
-from .codegen import CodegenUnsupported
-from .grid import BATCH_KERNEL_ENGINES, Machine, MachineResult
+from .grid import Machine, MachineResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..compiler.driver import CompileResult
 
 _LIMB = re.compile(r"^(.*)#(\d+)$")
+
+#: Largest accepted batch width.
+MAX_BATCH_WIDTH = 1024
 
 
 def rebind_reg_inits(result: "CompileResult",
@@ -107,18 +93,16 @@ def rebind_reg_inits(result: "CompileResult",
 
 
 class BatchRunner:
-    """Compile once, advance B independent runs per Vcycle.
+    """Compile once, run B independent lanes.
 
     ``programs`` is either one :class:`MachineProgram` (replicated
     ``width`` times - a throughput harness over identical stimuli) or a
-    list of per-lane programs that must share one schedule (typically
-    :func:`rebind_reg_inits` variants of a single compile; structural
-    identity is verified before the batched kernel engages).
+    list of per-lane programs, typically :func:`rebind_reg_inits`
+    variants of a single compile.
     """
 
     def __init__(self, programs, config=None, *, width: int | None = None,
-                 engine: str = "codegen", lowering: str = "auto",
-                 exception_stall: int = 500) -> None:
+                 engine: str = "codegen", exception_stall: int = 500) -> None:
         if isinstance(programs, MachineProgram):
             if width is None:
                 raise ValueError(
@@ -135,16 +119,12 @@ class BatchRunner:
                 f"[1, {MAX_BATCH_WIDTH}]")
         self.width = len(programs)
         self.engine = engine
-        self.lowering = lowering
-        #: Resolved lowering of the last batched pass ("list"/"numpy"),
-        #: or None when the serial fallback ran.
-        self.lowering_used: str | None = None
         self.machines = [
             Machine(p, config, engine=engine,
                     exception_stall=exception_stall)
             for p in programs]
-        #: Per-lane fatal-error strings (a lane that raised is masked
-        #: out with this as its observable outcome), else None.
+        #: Per-lane fatal-error strings (a lane that raised stops with
+        #: this as its observable outcome), else None.
         self.errors: list[str | None] = [None] * self.width
 
     # ------------------------------------------------------------------
@@ -152,10 +132,13 @@ class BatchRunner:
         """Advance every lane to ``$finish``, a fatal error, or the
         Vcycle budget; returns per-lane results (error lanes get their
         machine's last-settled state - read :attr:`errors` first)."""
-        if self.engine in BATCH_KERNEL_ENGINES:
-            self._run_batched(max_vcycles)
-        else:
-            self._run_fallback(max_vcycles)
+        for i, m in enumerate(self.machines):
+            if m.finished or self.errors[i] is not None:
+                continue
+            try:
+                m.run(max_vcycles)
+            except SimulationFailure as exc:
+                self.errors[i] = f"{type(exc).__name__}: {exc}"
         results = []
         for m in self.machines:
             m._sync_compiled()
@@ -167,147 +150,6 @@ class BatchRunner:
                 cache=m.cache.stats,
             ))
         return results
-
-    # ------------------------------------------------------------------
-    def _live(self, budget: int) -> list[int]:
-        return [i for i, m in enumerate(self.machines)
-                if not m.finished and self.errors[i] is None
-                and m.counters.vcycles < budget]
-
-    def _run_batched(self, budget: int) -> None:
-        # Phase 1: bring every live lane to a trusted, Vcycle-aligned
-        # point under its own scalar engine (the verify-once-then-trust
-        # protocol runs per lane, exactly as in a single run).
-        while True:
-            live = self._live(budget)
-            if not live:
-                return
-            if any(self.machines[i]._fastpath_error is not None
-                   for i in live):
-                # The schedule cannot be compiled at all: per-lane
-                # serial execution is the contract.
-                self._run_fallback(budget)
-                return
-            untrusted = [i for i in live if not self.machines[i]._trusted]
-            if not untrusted:
-                break
-            for i in untrusted:
-                try:
-                    self.machines[i].step_vcycle()
-                except SimulationFailure as exc:
-                    self.errors[i] = f"{type(exc).__name__}: {exc}"
-
-        # Phase 2: one compiled batched kernel over all live lanes.
-        # Lanes must share the schedule (init images may differ - the
-        # content key strips them).
-        live = self._live(budget)
-        m0 = self.machines[live[0]]
-        key0 = cg._content_key(m0, variant="scalar")
-        for i in live[1:]:
-            if cg._content_key(self.machines[i],
-                               variant="scalar") != key0:
-                raise ValueError(
-                    f"lane {i} was compiled from a different schedule "
-                    "than lane 0; a batch must share one program "
-                    "structure")
-        _ns, plan = cg._compiled_for(m0)
-        try:
-            make_kernel, plan, mode = compiled_batch_kernel(
-                m0, self.width, self.lowering, plan=plan)
-        except CodegenUnsupported:
-            self._run_fallback(budget)
-            return
-        self.lowering_used = mode
-        while True:
-            live = self._live(budget)
-            if not live:
-                return
-            for i in live:
-                # Flush any scalar kernel state: the batched kernel
-                # hydrates from architectural registers.
-                self.machines[i]._sync_compiled()
-            remaining = min(budget - self.machines[i].counters.vcycles
-                            for i in live)
-            self._batch_pass(live, remaining, make_kernel, plan)
-
-    def _batch_pass(self, live: list[int], budget: int, make_kernel,
-                    plan) -> None:
-        machines = self.machines
-        errors = self.errors
-        act = list(live)
-        aborts: list[tuple[int, int, list[int]]] = []
-
-        def svc(lane: int, eid: int) -> bool:
-            # Per-lane exception service inside the Vcycle.  True means
-            # "mask this lane out" - a $finish, or a fatal assertion
-            # (recorded, state frozen, batch keeps going).
-            try:
-                machines[lane].service_exception(plan.priv, eid)
-            except SimulationFailure as exc:
-                errors[lane] = f"{type(exc).__name__}: {exc}"
-                return True
-            return machines[lane].finished
-
-        gen = make_kernel(machines, act, aborts, svc)()
-        steps = 0
-        try:
-            while act and steps < budget:
-                next(gen)
-                steps += 1
-                if aborts:
-                    for lane, k, msgs in aborts:
-                        if errors[lane] is None:
-                            self._finish_abort_lane(lane, k, msgs, plan,
-                                                    clean=steps - 1)
-                    aborts.clear()
-            if act and steps:
-                try:
-                    gen.send(True)  # flush surviving lanes
-                except StopIteration:  # pragma: no cover
-                    pass
-                for lane in act:
-                    self._settle(machines[lane], steps, plan)
-        finally:
-            gen.close()
-
-    def _finish_abort_lane(self, lane: int, k: int, msgs: list[int],
-                           plan, clean: int) -> None:
-        """Mid-Vcycle ``$finish`` on one lane: the kernel already
-        flushed the lane's vector slots at the abort point; replay the
-        executed prefix and charge counters exactly as the scalar
-        engine's abort arm does."""
-        m = self.machines[lane]
-        c = m.counters
-        c.instructions += clean * plan.n_instr
-        c.messages += clean * plan.n_msgs
-        c.vcycles += clean + 1
-        c.compute_cycles += (clean + 1) * m.program.vcpl
-        eng = m._fastpath
-        eng._msgs[:] = msgs
-        eng._finish_abort(k)
-        m.now = 0
-
-    @staticmethod
-    def _settle(m: Machine, steps: int, plan) -> None:
-        c = m.counters
-        c.instructions += steps * plan.n_instr
-        c.messages += steps * plan.n_msgs
-        c.vcycles += steps
-        c.compute_cycles += steps * m.program.vcpl
-        m.now = 0
-
-    def _run_fallback(self, budget: int) -> None:
-        """Per-lane serial execution: the observable-equivalence
-        reference semantics, used for engines without a batched kernel
-        and for schedules the batch emitter cannot compile."""
-        self.lowering_used = None
-        for i, m in enumerate(self.machines):
-            if m.finished or self.errors[i] is not None:
-                continue
-            try:
-                m.run(budget)
-            except SimulationFailure as exc:
-                self.errors[i] = f"{type(exc).__name__}: {exc}"
 
     # ------------------------------------------------------------------
     def checkpoint_state(self) -> dict:
@@ -337,14 +179,13 @@ class BatchRunner:
 
 
 def run_batch(programs, max_vcycles: int, config=None, *,
-              width: int | None = None, engine: str = "codegen",
-              lowering: str = "auto") -> list[MachineResult]:
+              width: int | None = None,
+              engine: str = "codegen") -> list[MachineResult]:
     """One-shot batched execution: build a :class:`BatchRunner`, run it
     to ``max_vcycles``, and return the per-lane results.  Raises
     :class:`~repro.isa.program.SimulationFailure` for the first errored
     lane, matching ``Machine.run``'s contract for a single run."""
-    runner = BatchRunner(programs, config, width=width, engine=engine,
-                         lowering=lowering)
+    runner = BatchRunner(programs, config, width=width, engine=engine)
     results = runner.run(max_vcycles)
     for i, err in enumerate(runner.errors):
         if err is not None:

@@ -70,8 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: cache key so stale on-disk sources can never be exec'd.  v2: the key
 #: hashes an init-stripped program image (register/scratch/DRAM boot
 #: values and the design name excluded - the emitted source never
-#: depends on them) and gained a variant tag separating scalar kernels
-#: from batched ones (see :mod:`repro.machine.batch_codegen`).
+#: depends on them).
 CODEGEN_SCHEMA_VERSION = 2
 
 #: Hard ceiling on emitted source size (lines); beyond this the compile
@@ -1312,7 +1311,7 @@ def _stripped_program_bytes(program) -> bytes:
     the live cores at generator start, and ``_analyze`` never reads an
     init value.  Hashing the init-stripped image means per-stimulus
     *variants* of one design (same binary, different ``reg_init`` - the
-    batch axis) share one cache key, one analysis, and one exec'd
+    lanes of a batch) share one cache key, one analysis, and one exec'd
     module."""
     from .boot import serialize
     cores = {
@@ -1323,33 +1322,25 @@ def _stripped_program_bytes(program) -> bytes:
     return serialize(stripped)
 
 
-def _content_key(machine: "Machine", variant: str = "scalar") -> str:
+def _content_key(machine: "Machine") -> str:
     config = machine.config
     pid = id(machine.program)
     cached = _KEYS.get(pid)
     if cached is not None and (cached[0] is config or cached[0] == config):
-        base = cached[1]
-    else:
-        config_repr = repr(sorted(dataclasses.asdict(config).items()))
-        h = hashlib.sha256()
-        h.update(f"codegen-v{CODEGEN_SCHEMA_VERSION}".encode())
-        h.update(config_repr.encode())
-        h.update(_stripped_program_bytes(machine.program))
-        base = h.hexdigest()
-        try:  # re-serializing the program dominates warm compiles: pin
-            # the key to the program object (evicted with it so ids
-            # can't alias)
-            weakref.finalize(machine.program, _KEYS.pop, pid, None)
-            _KEYS[pid] = (config, base)
-        except TypeError:
-            pass
-    if variant == "scalar":
-        return base
-    # Batched kernels (repro.machine.batch_codegen) fold the variant tag
-    # - "batch{width}-{lowering}" - into the digest, so a batched source
-    # can never collide with a scalar one (or with another width or
-    # lowering) in ~/.cache/repro-codegen.
-    return hashlib.sha256(f"{base}|{variant}".encode()).hexdigest()
+        return cached[1]
+    config_repr = repr(sorted(dataclasses.asdict(config).items()))
+    h = hashlib.sha256()
+    h.update(f"codegen-v{CODEGEN_SCHEMA_VERSION}".encode())
+    h.update(config_repr.encode())
+    h.update(_stripped_program_bytes(machine.program))
+    key = h.hexdigest()
+    try:  # re-serializing the program dominates warm compiles: pin the
+        # key to the program object (evicted with it so ids can't alias)
+        weakref.finalize(machine.program, _KEYS.pop, pid, None)
+        _KEYS[pid] = (config, key)
+    except TypeError:
+        pass
+    return key
 
 
 def _cache_dir() -> str | None:
@@ -1673,17 +1664,3 @@ def compile_codegen(machine: "Machine") -> CodegenEngine:
     the fast path's fallback contract).
     """
     return CodegenEngine(machine)
-
-
-def compile_batch_kernel(machine: "Machine", width: int,
-                         lowering: str = "auto"):
-    """Batched multi-lane kernel for ``machine``'s program: the codegen
-    engine's provider behind ``repro.machine.grid.BATCH_KERNEL_ENGINES``
-    (see :mod:`repro.machine.batch_codegen` for the emitter and
-    :mod:`repro.machine.batch` for the driver).
-
-    Returns ``(make_batch_kernel, plan, lowering)``; raises
-    :class:`CodegenUnsupported` when the schedule cannot be emitted, in
-    which case the batch driver falls back to per-lane lockstep."""
-    from .batch_codegen import compiled_batch_kernel
-    return compiled_batch_kernel(machine, width, lowering)

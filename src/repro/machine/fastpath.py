@@ -68,18 +68,6 @@ class FastpathUnsupported(RuntimeError):
     machine silently keeps the strict engine (correctness first)."""
 
 
-#: Batched multi-run execution: the fast engine has *no* vectorized
-#: multi-lane kernel.  Its compiled form is per-core closures whose free
-#: variables are scalar register cells - adding a lane axis would mean
-#: a per-closure loop over lanes, i.e. exactly the per-event Python call
-#: overhead the batch axis is meant to amortize away.  The codegen
-#: engine re-emits its source with per-lane vector slots instead (see
-#: ``repro.machine.batch_codegen``), so ``grid.BATCH_KERNEL_ENGINES``
-#: lists only ``"codegen"``; batches on ``engine="fast"`` run through
-#: ``repro.machine.batch.BatchRunner``'s per-lane serial fallback.
-BATCH_KERNEL = None
-
-
 class _VcycleAbort(Exception):
     """Raised by an ``Expect`` closure when the host finishes the
     simulation mid-Vcycle; carries the exact strict-engine counter

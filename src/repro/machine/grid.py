@@ -287,17 +287,6 @@ COMPILED_ENGINES = ("fast", "codegen")
 #: and an exception during a trusted Vcycle need not revoke it.
 EXCEPTION_SERVICING_ENGINES = ("codegen",)
 
-#: Engines that provide a vectorized multi-lane kernel for batched
-#: execution (``repro.machine.batch.BatchRunner``): B independent runs
-#: of one compiled design advance in lockstep per Vcycle, with finished
-#: or faulted lanes masked out.  Engines outside this set still accept
-#: batches - the runner falls back to per-lane serial execution with
-#: identical observable results.  The fast engine is deliberately
-#: absent: its per-core closures hold scalar state (see the note in
-#: ``repro.machine.fastpath``); the codegen engine re-emits its source
-#: with a lane axis instead (``repro.machine.batch_codegen``).
-BATCH_KERNEL_ENGINES = ("codegen",)
-
 
 class _ProgramRecord:
     """What every machine of one program object shares.

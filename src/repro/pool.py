@@ -17,15 +17,13 @@ A :class:`PersistentPool` hands out dedicated worker processes as
 
 Worker exceptions are pickled back and re-raised in the parent with
 their original type.  The start method is ``fork`` where available
-(cheapest, inherits warm modules) and can be overridden with
-``REPRO_POOL_START=spawn`` for platforms or tests that need it.
+(cheapest, inherits warm modules), else the platform default.
 """
 
 from __future__ import annotations
 
 import importlib
 import multiprocessing as mp
-import os
 import pickle
 from typing import Callable, TypeVar
 
@@ -39,11 +37,8 @@ class PoolWorkerLost(RuntimeError):
 
 
 def start_method() -> str:
-    """``$REPRO_POOL_START`` override, else ``fork`` when the platform
-    has it (cheap, warm modules), else the platform default."""
-    env = os.environ.get("REPRO_POOL_START")
-    if env:
-        return env
+    """``fork`` when the platform has it (cheap, warm modules), else the
+    platform default."""
     if "fork" in mp.get_all_start_methods():
         return "fork"
     return mp.get_start_method()

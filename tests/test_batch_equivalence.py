@@ -1,15 +1,13 @@
-"""Batched execution vs per-lane runs: bit-identity, masking, restore.
+"""Batched execution vs per-lane runs: bit-identity, divergence, restore.
 
-``BatchRunner`` advances B runs of one compiled design per Vcycle
-through a vectorized kernel.  Its contract is that *nothing* observable
-may differ from running each lane alone on the same engine: displays,
-finish status, Vcycle counts, performance counters, cache stats, and
-per-core architectural state are all bit-identical per lane.  This file
-enforces that contract over the whole design registry and both vector
-lowerings, plus the divergence semantics (an early ``$finish`` masks
-one lane without perturbing the rest), in-flight checkpoint/restore,
-the serial fallback for engines without a batched kernel, and the
-cache-key separation between scalar and batched emitted sources.
+``BatchRunner`` runs B lanes of one compiled design, one scalar machine
+per lane.  Its contract is that *nothing* observable may differ from
+running each lane alone on the same engine: displays, finish status,
+Vcycle counts, performance counters, cache stats, and per-core
+architectural state are all bit-identical per lane.  This file enforces
+that contract over the whole design registry, plus divergence (lanes
+that reach ``$finish`` on different Vcycles), in-flight
+checkpoint/restore, and the ``fast`` engine.
 """
 
 from __future__ import annotations
@@ -25,10 +23,7 @@ from repro.fuzz.generator import counter_circuit
 from repro.fuzz.oracle import fuzz_seed_batch
 from repro.machine import (BatchRunner, Machine, MachineConfig,
                            rebind_reg_inits, run_batch)
-from repro.machine import codegen as cg
-from repro.machine.batch_codegen import have_numpy
-
-from .util_state import assert_packed_core_state
+from repro.machine.batch import MAX_BATCH_WIDTH
 
 CONFIG = MachineConfig(grid_x=8, grid_y=8)
 SMALL = MachineConfig(grid_x=3, grid_y=3)
@@ -77,32 +72,12 @@ def test_batch_bit_identical(name):
     budget = _budget(name)
     program = _program(name)
     solo_m, solo_r = _solo(program, budget)
-    runner = BatchRunner(program, CONFIG, width=3, lowering="list")
+    runner = BatchRunner(program, CONFIG, width=3)
     outs = runner.run(budget)
-    assert runner.lowering_used == "list"
     assert runner.errors == [None, None, None]
     for lane, out in enumerate(outs):
         _assert_lane_identical(lane, solo_m, solo_r,
                                runner.machines[lane], out)
-
-
-def test_batch_numpy_lowering_bit_identical():
-    """The numpy lowering obeys the same contract (and leaves every
-    core's state in its ``array("H")`` objects, which hold plain 16-bit
-    words, never a ``numpy.int64``)."""
-    pytest.importorskip("numpy")
-    assert have_numpy()
-    for name in ("mc", "bc"):
-        budget = _budget(name)
-        program = _program(name)
-        solo_m, solo_r = _solo(program, budget)
-        runner = BatchRunner(program, CONFIG, width=3, lowering="numpy")
-        outs = runner.run(budget)
-        assert runner.lowering_used == "numpy"
-        for lane, out in enumerate(outs):
-            batch_m = runner.machines[lane]
-            _assert_lane_identical(lane, solo_m, solo_r, batch_m, out)
-            assert_packed_core_state(batch_m)
 
 
 def _counter_lanes(inits):
@@ -113,13 +88,11 @@ def _counter_lanes(inits):
 
 def test_divergence_masking_early_finish():
     """Lanes booted closer to the counter limit hit ``$finish`` on
-    earlier Vcycles; each masked lane freezes bit-identically to its
-    solo run while the rest keep going."""
+    earlier Vcycles; each lane ends bit-identically to its solo run."""
     inits = [0, 12, 24, 36]
     programs = _counter_lanes(inits)
-    runner = BatchRunner(programs, SMALL, lowering="list")
+    runner = BatchRunner(programs, SMALL)
     outs = runner.run(200)
-    assert runner.lowering_used == "list"
     finish_vcycles = [out.vcycles for out in outs]
     # Strictly decreasing: every lane diverged at a different Vcycle.
     assert finish_vcycles == sorted(finish_vcycles, reverse=True)
@@ -137,16 +110,16 @@ def test_batch_checkpoint_restore_in_flight():
     inits = [0, 12, 24, 36]
     programs = _counter_lanes(inits)
 
-    straight = BatchRunner(programs, SMALL, lowering="list")
+    straight = BatchRunner(programs, SMALL)
     golden = straight.run(200)
 
-    first = BatchRunner(programs, SMALL, lowering="list")
+    first = BatchRunner(programs, SMALL)
     partial = first.run(15)  # lane 3 finished, lanes 0-2 in flight
     assert any(out.finished for out in partial)
     assert not all(out.finished for out in partial)
     state = json.loads(json.dumps(first.checkpoint_state()))
 
-    second = BatchRunner(programs, SMALL, lowering="list")
+    second = BatchRunner(programs, SMALL)
     second.load_checkpoint_state(state)
     resumed = second.run(200)
 
@@ -170,27 +143,16 @@ def test_batch_checkpoint_rejects_mismatch():
 
 
 def test_fast_engine_serial_fallback():
-    """Engines without a batched kernel run lanes serially under the
-    same API with the same per-lane results."""
+    """The ``fast`` engine runs batches under the same API with the
+    same per-lane results."""
     program = _program("mm")
     budget = _budget("mm")
     solo_m, solo_r = _solo(program, budget, engine="fast")
     runner = BatchRunner(program, CONFIG, width=2, engine="fast")
     outs = runner.run(budget)
-    assert runner.lowering_used is None
     for lane, out in enumerate(outs):
         _assert_lane_identical(lane, solo_m, solo_r,
                                runner.machines[lane], out)
-
-
-def test_batch_cache_keys_are_distinct():
-    """Scalar and batched kernels of one machine must never collide in
-    the content-addressed source cache: the batch width and lowering
-    are part of the key (satellite: cache-key separation)."""
-    m = Machine(_program("mm"), CONFIG, engine="codegen")
-    keys = {cg._content_key(m, variant=v) for v in (
-        "scalar", "batch3-list", "batch4-list", "batch3-numpy")}
-    assert len(keys) == 4
 
 
 def test_run_batch_replication_requires_width():
@@ -198,11 +160,12 @@ def test_run_batch_replication_requires_width():
         BatchRunner(_program("mm"), CONFIG)
     with pytest.raises(ValueError, match="out of range"):
         BatchRunner(_program("mm"), CONFIG, width=0)
+    with pytest.raises(ValueError, match="out of range"):
+        BatchRunner(_program("mm"), CONFIG, width=MAX_BATCH_WIDTH + 1)
 
 
 def test_run_batch_one_shot():
-    outs = run_batch(_counter_compile().program, 200, SMALL, width=2,
-                     lowering="list")
+    outs = run_batch(_counter_compile().program, 200, SMALL, width=2)
     assert len(outs) == 2
     assert all(out.finished for out in outs)
     assert outs[0].displays == outs[1].displays
@@ -211,8 +174,7 @@ def test_run_batch_one_shot():
 def test_fuzz_seed_batch_smoke():
     """The batched fuzz oracle compiles once, fans a seed out to
     init-variant lanes, and finds no divergence on a healthy tree."""
-    report = fuzz_seed_batch(3, width=4, lowering="list")
+    report = fuzz_seed_batch(3, width=4)
     assert report.ok
     assert report.width == 4
     assert not report.rebind_fallback
-    assert report.lowering == "list"

@@ -67,6 +67,29 @@ class TestRun:
         assert "$enddefinitions" in text
         assert "c_0" in text
 
+    def test_run_batch_json(self, capsys):
+        import json
+
+        assert main(["run", "--design", "mm", "--grid", "8", "8",
+                     "--engine", "codegen", "--batch", "3", "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["batch_width"] == 3
+        assert "lowering" not in out
+        lanes = out["lanes"]
+        assert [lane["lane"] for lane in lanes] == [0, 1, 2]
+        assert all(lane["finished"] for lane in lanes)
+        assert lanes[0]["displays"] == ["mm checksum 606336"]
+        for lane in lanes[1:]:
+            assert lane["displays"] == lanes[0]["displays"]
+            assert lane["vcycles"] == lanes[0]["vcycles"]
+
+    def test_run_batch_lowering_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--design", "mm", "--batch", "3",
+                  "--batch-lowering", "list"])
+        assert exc.value.code == 2
+        assert "--batch-lowering" in capsys.readouterr().err
+
 
 class TestDesigns:
     def test_list(self, capsys):

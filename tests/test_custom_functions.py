@@ -183,7 +183,7 @@ class _BlockNumpy:
 sys.meta_path.insert(0, _BlockNumpy())
 from repro.compiler import CompilerOptions, compile_circuit
 from repro.fuzz.generator import logic_heavy_circuit
-from repro.machine import Machine, MachineConfig
+from repro.machine import Machine, MachineConfig, run_batch
 
 config = MachineConfig(grid_x=4, grid_y=4)
 result = compile_circuit(logic_heavy_circuit(), CompilerOptions(
@@ -192,12 +192,20 @@ assert result.report.custom.instructions_after < \\
     result.report.custom.instructions_before
 run = Machine(result.program, config, engine="strict").run(10_000)
 assert run.finished, run.vcycles
+solo = Machine(result.program, config, engine="codegen").run(10_000)
+assert solo == run, (solo, run)
+lanes = run_batch(result.program, 10_000, config, width=40)
+assert len(lanes) == 40
+for lane in lanes:
+    assert lane == solo, lane
 assert "numpy" not in sys.modules
 print("ok")
 """
 
 
 def test_greedy_compile_and_strict_run_without_numpy():
+    """A greedy compile and strict, codegen and 40-lane batched runs
+    import no numpy."""
     import os
     import subprocess
     import sys

@@ -9,7 +9,7 @@ import pickle
 
 import pytest
 
-from repro.pool import PersistentPool, task_ref
+from repro.pool import PersistentPool, start_method, task_ref
 
 
 def _square(x: int) -> int:   # module-level: dispatchable into workers
@@ -71,3 +71,12 @@ def test_close_kills_leased_workers_and_spares(pool):
     for proc in procs:
         proc.join(timeout=10)
         assert not proc.is_alive()
+
+
+def test_start_method_ignores_environment(monkeypatch):
+    """The start method is a property of the platform alone: no
+    environment variable selects another one."""
+    monkeypatch.delenv("REPRO_POOL_START", raising=False)
+    default = start_method()
+    monkeypatch.setenv("REPRO_POOL_START", "forkserver")
+    assert start_method() == default

@@ -16,8 +16,7 @@ def assert_packed_core_state(machine) -> dict[int, tuple[int, int]]:
     CPython tracks ``array`` objects themselves (``gc.is_tracked`` is
     True), but their traversal visits only the type - one step per
     array, where a list costs one per word.  The typecode also rules out
-    foreign scalars (``numpy.int64`` from the batched numpy lowering) in
-    architectural state: an ``"H"`` array stores plain 16-bit words and
+    foreign scalars (a ``numpy.int64``, say) in architectural state: an ``"H"`` array stores plain 16-bit words and
     reads back Python ints.
     """
     ids = {}
