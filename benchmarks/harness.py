@@ -32,10 +32,8 @@ BENCH_ORDER = ["vta", "mc", "noc", "mm", "rv32r", "cgra", "bc", "blur",
 PLATFORMS = {"i7": I7_9700K, "xeon": XEON_8272CL, "epyc": EPYC_7V73X}
 
 
-#: In-session compile memos, keyed like the old ``lru_cache`` calls and
-#: seedable up front by :func:`precompile`.
+#: In-session compile memo, keyed by the :func:`compile_design` arguments.
 _COMPILED: dict[tuple, object] = {}
-_GRID_COMPILED: dict[tuple[str, int], object] = {}
 
 
 def _prototype_options(max_cores=None, merge_strategy="balanced",
@@ -66,47 +64,6 @@ def circuit_of(name: str):
     return DESIGNS[name].build()
 
 
-def _grid_options(grid_side: int) -> CompilerOptions:
-    from repro.machine import MachineConfig
-    return CompilerOptions(
-        config=MachineConfig(grid_x=grid_side, grid_y=grid_side))
-
-
-def _grid_compile(name: str, grid_side: int):
-    """Compile one design for a small square grid (cached)."""
-    key = (name, grid_side)
-    if key not in _GRID_COMPILED:
-        _GRID_COMPILED[key] = compile_circuit(circuit_of(name),
-                                              _grid_options(grid_side))
-    return _GRID_COMPILED[key]
-
-
-def precompile(names=None, grid_side: int | None = None) -> None:
-    """Compile a design set up front and seed the session memos.
-
-    ``grid_side=None`` targets the prototype grid used by the table and
-    figure experiments; an explicit side seeds the small-grid cache that
-    :func:`machine_for` uses.
-    """
-    for name in (BENCH_ORDER if names is None else names):
-        if grid_side is None:
-            compile_design(name)
-        else:
-            _grid_compile(name, grid_side)
-
-
-def machine_for(name: str, engine: str = "strict", grid_side: int = 8,
-                profiler=None):
-    """Fresh :class:`~repro.machine.Machine` over a cached small-grid
-    compile - the engine-comparison workhorse (each caller gets its own
-    machine so strict/fast runs never share mutable state)."""
-    from repro.machine import Machine, MachineConfig
-    result = _grid_compile(name, grid_side)
-    config = MachineConfig(grid_x=grid_side, grid_y=grid_side)
-    return Machine(result.program, config, engine=engine,
-                   profiler=profiler)
-
-
 @functools.lru_cache(maxsize=None)
 def macrotask_graph(name: str):
     return macrotasks_for(circuit_of(name))
@@ -120,11 +77,6 @@ def verilator_rates(name: str, platform_key: str) -> dict[str, float]:
     serial = modeled_serial_rate_khz(circuit, platform)
     threads, mt = best_mt_rate_khz(macrotask_graph(name), platform)
     return {"S": serial, "MT": mt, "threads": threads}
-
-
-def manticore_rate_khz(name: str) -> float:
-    report = compile_design(name).report
-    return report.simulated_rate_khz(PROTOTYPE_MHZ)
 
 
 #: Core counts swept for Fig. 7 (and reused by Table 3's best-of sweep).

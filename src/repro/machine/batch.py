@@ -5,10 +5,11 @@ Production traffic and fuzzing share a shape - many runs of the same
 compiled artifact with different inputs.  :class:`BatchRunner` owns B
 per-lane :class:`~repro.machine.grid.Machine` instances over (rebound
 variants of) one program and runs them one after another.  The lanes
-share one compile, and on ``engine="codegen"`` one kernel key (the key
-strips boot images), so every lane after the first reuses the emitted
-kernel and, once the key has run enough trusted Vcycles, the native C
-tier.
+share one compile and one schedule record, so only the first lane of
+a compiled engine runs strict verification Vcycles, and on
+``engine="codegen"`` one kernel key (the key strips boot images), so
+every lane after the first reuses the emitted kernel and, once the key
+has run enough trusted Vcycles, the native C tier.
 
 Semantics contract (enforced by ``tests/test_batch_equivalence.py``):
 the observable state of every lane - displays, finish status, Vcycle
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from ..isa.instructions import WORD_MASK, WORD_WIDTH
 from ..isa.program import MachineProgram, SimulationFailure
-from .grid import Machine, MachineResult
+from .grid import Machine, MachineResult, share_record
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..compiler.driver import CompileResult
@@ -58,6 +59,11 @@ def rebind_reg_inits(result: "CompileResult",
     guarantee compare ``boot.serialize`` output against a fresh compile
     of the variant circuit (``fuzz.oracle.fuzz_seed_batch`` does, with a
     per-lane fresh-compile fallback).
+
+    The copy shares the program's schedule record
+    (:func:`~repro.machine.grid.share_record`): its machines start
+    trusted once any machine of the program verified, and reuse the
+    program's kernel key.
     """
     if not overrides:
         return result.program
@@ -89,7 +95,9 @@ def rebind_reg_inits(result: "CompileResult",
         if ZERO_CONST in pmap:
             reg_init.setdefault(pmap[ZERO_CONST], 0)
         cores[core_id] = dataclasses.replace(binary, reg_init=reg_init)
-    return dataclasses.replace(program, cores=cores)
+    variant = dataclasses.replace(program, cores=cores)
+    share_record(variant, program)
+    return variant
 
 
 class BatchRunner:

@@ -52,7 +52,6 @@ import itertools
 import os
 import re
 import tempfile
-import weakref
 from bisect import bisect_right, insort
 from collections import Counter
 from typing import TYPE_CHECKING
@@ -1297,12 +1296,6 @@ def _stop_stmts(instr, park_pi, mid, n_scratch, binary) -> list[str]:
 # ---------------------------------------------------------------------------
 # Content-addressed source cache.
 # ---------------------------------------------------------------------------
-#: ``id(program) -> (MachineConfig, base key)``.  ``MachineConfig`` is a
-#: frozen dataclass of scalars, so ``==`` is field equality and a hit
-#: needs no ``config_repr``.
-_KEYS: dict[int, tuple["MachineConfig", str]] = {}
-
-
 def _stripped_program_bytes(program) -> bytes:
     """Serialize ``program`` with every boot-time data image blanked.
 
@@ -1323,23 +1316,21 @@ def _stripped_program_bytes(program) -> bytes:
 
 
 def _content_key(machine: "Machine") -> str:
+    """The kernel cache key of ``machine``'s program under its config,
+    memoized on the program's record (re-serializing the program
+    dominates warm compiles; a rebound batch lane shares its parent's
+    record, hence its key)."""
+    from .grid import _program_record
     config = machine.config
-    pid = id(machine.program)
-    cached = _KEYS.get(pid)
-    if cached is not None and (cached[0] is config or cached[0] == config):
-        return cached[1]
-    config_repr = repr(sorted(dataclasses.asdict(config).items()))
-    h = hashlib.sha256()
-    h.update(f"codegen-v{CODEGEN_SCHEMA_VERSION}".encode())
-    h.update(config_repr.encode())
-    h.update(_stripped_program_bytes(machine.program))
-    key = h.hexdigest()
-    try:  # re-serializing the program dominates warm compiles: pin the
-        # key to the program object (evicted with it so ids can't alias)
-        weakref.finalize(machine.program, _KEYS.pop, pid, None)
-        _KEYS[pid] = (config, key)
-    except TypeError:
-        pass
+    keys = _program_record(machine.program).kernel_keys
+    key = keys.get(config)
+    if key is None:
+        config_repr = repr(sorted(dataclasses.asdict(config).items()))
+        h = hashlib.sha256()
+        h.update(f"codegen-v{CODEGEN_SCHEMA_VERSION}".encode())
+        h.update(config_repr.encode())
+        h.update(_stripped_program_bytes(machine.program))
+        key = keys[config] = h.hexdigest()
     return key
 
 

@@ -299,10 +299,16 @@ class _ProgramRecord:
     a fault.  Under static BSP issue order, routing and writeback timing
     are data-independent, so that proof holds for every later machine
     of the same program object and config: they start trusted, as with
-    ``fastpath_verify_vcycles=0``.
+    ``fastpath_verify_vcycles=0``.  ``kernel_keys`` memoizes the codegen
+    kernel key per config (:func:`repro.machine.codegen._content_key`),
+    since deriving it serializes the whole program.
+
+    None of these read a boot image, so the per-stimulus variants of a
+    program (:func:`share_record`) share its record: one schedule, one
+    verification, one kernel key.
     """
 
-    __slots__ = ("events", "core_events", "verified")
+    __slots__ = ("events", "core_events", "verified", "kernel_keys")
 
     def __init__(self, program: MachineProgram) -> None:
         self.core_events = {
@@ -320,6 +326,7 @@ class _ProgramRecord:
         events.sort(key=lambda e: (e[0], e[1]))
         self.events = tuple(events)
         self.verified: set[MachineConfig] = set()
+        self.kernel_keys: dict[MachineConfig, str] = {}
 
 
 #: ``id(program)`` -> its :class:`_ProgramRecord`, evicted with the
@@ -333,14 +340,28 @@ def _program_record(program: MachineProgram) -> _ProgramRecord:
     pid = id(program)
     record = _RECORDS.get(pid)
     if record is None:
-        record = _ProgramRecord(program)
-        try:
-            weakref.finalize(program, _RECORDS.pop, pid, None)
-        except TypeError:
-            return record
-        # Two threads may build at once; both keep the first stored.
-        record = _RECORDS.setdefault(pid, record)
+        record = _register(program, _ProgramRecord(program))
     return record
+
+
+def _register(program: MachineProgram,
+              record: _ProgramRecord) -> _ProgramRecord:
+    pid = id(program)
+    try:
+        weakref.finalize(program, _RECORDS.pop, pid, None)
+    except TypeError:
+        return record
+    # Two threads may build at once; both keep the first stored.
+    return _RECORDS.setdefault(pid, record)
+
+
+def share_record(variant: MachineProgram, program: MachineProgram) -> None:
+    """Give ``variant`` - ``program`` with other boot images and the same
+    instruction schedule (:func:`repro.machine.batch.rebind_reg_inits`) -
+    ``program``'s record, so its machines neither rebuild the schedule,
+    re-verify it, nor re-derive the kernel key."""
+    if variant is not program and id(variant) not in _RECORDS:
+        _register(variant, _program_record(program))
 
 
 class Machine:
@@ -393,18 +414,12 @@ class Machine:
         self._vcycle_base: tuple | None = None
         # Verify-once-then-trust state (the COMPILED_ENGINES): the
         # compiled engine, whether it is currently trusted, and how many
-        # strict verification Vcycles remain before (re-)trusting it -
-        # none when an earlier machine of this program object verified
-        # it under this config.
+        # strict verification Vcycles remain before (re-)trusting it.
         self._fastpath = None
         self._fastpath_error: str | None = None
         self._trusted = False
         self._verify_left = max(0, self.config.fastpath_verify_vcycles)
-        if engine in COMPILED_ENGINES:
-            if self.config in record.verified:
-                self._verify_left = 0
-            if self._verify_left == 0:
-                self._trusted = self._ensure_fastpath()
+        self._adopt_verdict()
         if profiler is not None:
             profiler.attach(self)
 
@@ -509,6 +524,21 @@ class Machine:
                     self._fastpath_error = str(exc)
         return self._fastpath is not None
 
+    def _adopt_verdict(self) -> bool:
+        """Trust a compiled-engine machine that has run nothing yet and
+        needs no verification: ``fastpath_verify_vcycles=0``, or a
+        machine of its program object verified the schedule under this
+        config - before this one was built, or after it (the later lanes
+        of a batch, all built up front)."""
+        if (self.counters.vcycles or self._event_pos
+                or self.engine not in COMPILED_ENGINES):
+            return False
+        if self.config in _program_record(self.program).verified:
+            self._verify_left = 0
+        if self._verify_left == 0:
+            self._trusted = self._ensure_fastpath()
+        return self._trusted
+
     def _sync_compiled(self) -> None:
         """Flush any compiled-engine state held outside the cores (the
         codegen kernel's frame locals) back into architectural state, so
@@ -533,7 +563,7 @@ class Machine:
         """
         if self.finished:
             return
-        if not self._trusted:
+        if not self._trusted and not self._adopt_verdict():
             self.step_events(None)
             return
         prof = self.profiler

@@ -20,8 +20,9 @@ Three layers, all opt-in with a zero-cost disabled path:
 
 The load-bearing guarantee: observation never perturbs.  A profiled run
 is bit-identical to an unprofiled one on every engine
-(``tests/test_obs_perturbation.py``), and the zero-observer fast-engine
-path stays within the overhead budget of ``benchmarks/bench_obs.py``.
+(``tests/test_obs_perturbation.py``), and an unprofiled trusted run
+never leaves the engine's bulk loop
+(``test_unobserved_trusted_run_is_bulk_only`` there).
 """
 
 from .export import (

@@ -7,9 +7,9 @@ changes anything observable - same Vcycle count, displays, machine-wide
 :class:`~repro.machine.grid.PerfCounters`, cache statistics, registers
 and scratchpads, under all three engines.  With no profiler attached
 the machine's hot loops are untouched (the only cost is an
-``is None`` check per Vcycle / per global access), which is what keeps
-the fast engine's zero-observer overhead within the budget measured by
-``benchmarks/bench_obs.py``.
+``is None`` check per Vcycle / per global access), and a trusted
+codegen run stays in its bulk loop
+(``tests/test_obs_perturbation.py::test_unobserved_trusted_run_is_bulk_only``).
 
 What is collected:
 

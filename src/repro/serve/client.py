@@ -7,11 +7,11 @@ newline-delimited JSON protocol of :func:`repro.serve.server.serve_unix`
 :class:`~repro.serve.server.SimulationServer` in-process instead.
 
 :func:`plan_load` builds the deterministic zipfian tenant workload the
-benchmark and the smoke job replay: design popularity follows a zipf
-distribution (rank ``r`` drawn with probability proportional to
-``1/r**s``), so with ``s=1.1`` a handful of designs dominate and the
-content-addressed compile cache should serve most submissions — the
-``BENCH_serve.json`` hit-rate gate measures exactly that.
+smoke job replays: design popularity follows a zipf distribution (rank
+``r`` drawn with probability proportional to ``1/r**s``), so with
+``s=1.1`` a handful of designs dominate and the content-addressed
+compile cache should serve most submissions — the ``serve-smoke``
+job's >= 50 % hit-rate check measures exactly that.
 """
 
 from __future__ import annotations

@@ -27,10 +27,10 @@ One asyncio event loop fronts the whole existing stack:
   (:func:`repro.obs.export.serve_prometheus_textfile`) and validated
   against ``docs/serve.schema.json``.
 
-The server is usable fully in-process (the test suites and
-``benchmarks/bench_serve.py`` drive it that way) or over a unix-domain
-socket speaking newline-delimited JSON (:func:`serve_unix`, the
-``repro serve`` / ``repro submit`` transport).
+The server is usable fully in-process (the test suites and the
+``serve-closed`` end-to-end workload drive it that way) or over a
+unix-domain socket speaking newline-delimited JSON (:func:`serve_unix`,
+the ``repro serve`` / ``repro submit`` transport).
 """
 
 from __future__ import annotations

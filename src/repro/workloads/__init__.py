@@ -17,8 +17,8 @@ Each entry pins the circuit :meth:`~repro.netlist.ir.Circuit.fingerprint`
 per-grid :func:`repro.serve.jobs.state_digest` values (behavioral
 identity: a machine run still ends in the same architectural state on
 every engine).  ``python -m repro workloads list/run/bench/verify/pin``
-is the CLI surface; :mod:`benchmarks.bench_workloads` drives the same
-registry for the scale-trajectory bench.
+is the CLI surface; CI runs ``workloads bench`` at 8x8, 15x15 and 32x32
+as the scale-trajectory check.
 """
 
 from .registry import (DEFAULT_GRID, PIN_ENGINE, Workload, WorkloadError,

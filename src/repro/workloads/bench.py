@@ -4,18 +4,14 @@ One *row* of the trajectory is a (grid, scale tier) operating point:
 all nine design families are built at that tier, compiled for that
 grid, and machine-run to ``$finish`` on every row engine; the
 engine-independent :func:`~repro.serve.jobs.state_digest` must agree
-across the row's engines for every design.  The default trajectory
-walks the machine from today's CI grid to the paper's 225-core machine
-and a forward-looking 32x32 point::
+across the row's engines for every design.  CI walks the machine from
+today's CI grid to the paper's 225-core machine and a forward-looking
+32x32 point, one ``repro workloads bench --grid G`` row each, on
+strict, fast and codegen::
 
-    8x8 / small      strict + fast + codegen
-    15x15 / paper    strict + fast + codegen   (the paper's machine)
-    32x32 / stretch  strict + fast + codegen   (1024 cores; a codegen
-                                                kernel builds in seconds)
-
-``benchmarks/bench_workloads.py`` runs the whole trajectory plus a
-registry pin sweep and writes ``BENCH_workloads.json``; ``repro
-workloads bench`` runs a single row interactively.
+    8x8 / small      (plus the registry pin sweep)
+    15x15 / paper    (the paper's machine)
+    32x32 / stretch  (1024 cores; a codegen kernel builds in seconds)
 """
 
 from __future__ import annotations
@@ -28,16 +24,6 @@ from ..machine.grid import Machine
 from ..serve.jobs import state_digest
 from .registry import (DEFAULT_GRID, Workload, WorkloadError, grid_key,
                        load_workloads, run_workload)
-
-#: (grid, designs scale tier, engines) rows of the default trajectory.
-TRAJECTORY: tuple[dict, ...] = (
-    {"grid": (8, 8), "scale": "small",
-     "engines": ("strict", "fast", "codegen")},
-    {"grid": (15, 15), "scale": "paper",
-     "engines": ("strict", "fast", "codegen")},
-    {"grid": (32, 32), "scale": "stretch",
-     "engines": ("strict", "fast", "codegen")},
-)
 
 #: Scale tier implied by a grid when the caller does not pick one.
 SCALE_FOR_GRID = {(8, 8): "small", (15, 15): "paper", (32, 32): "stretch"}

@@ -23,6 +23,7 @@ from repro.designs import DESIGNS
 from repro.machine import ENGINES, Machine, MachineConfig
 from repro.machine.waveform import WaveformCollector, trace_map_for
 from repro.obs import Profiler
+from repro.serve.jobs import state_digest
 
 CONFIG = MachineConfig(grid_x=8, grid_y=8)
 
@@ -355,6 +356,26 @@ def test_driver_interrupt_and_resume_matches_clean_run(tmp_path):
     assert second.result.displays == clean.result.displays
     assert second.result.counters == clean.result.counters
     assert second.result.cache == clean.result.cache
+
+
+@pytest.mark.parametrize("engine", ["fast", "codegen"])
+@pytest.mark.parametrize("name", ["bc", "jpeg", "mm"])
+def test_driver_publishes_once_per_boundary_crossed(name, engine,
+                                                    tmp_path):
+    """Checkpointing costs one snapshot per ``checkpoint_every``
+    boundary the run crosses - none for mm, which finishes before the
+    first - and changes nothing about the run itself."""
+    every = 100
+    plain_m = _machine(name, engine)
+    plain = plain_m.run(_budget(name))
+    run = ck.run_with_checkpoints(
+        _compiled(name).program, _budget(name), config=CONFIG,
+        engine=engine, store=ck.CheckpointStore(tmp_path, keep=0),
+        checkpoint_every=every)
+    assert [ck.load_snapshot(path).vcycle for path in run.published] \
+        == list(range(every, plain.vcycles, every))
+    assert run.result == plain
+    assert state_digest(run.machine) == state_digest(plain_m)
 
 
 def test_driver_discards_bad_newest_and_reports(tmp_path):

@@ -25,6 +25,7 @@ from repro.compiler import CompilerOptions, compile_circuit
 from repro.designs import DESIGNS
 from repro.machine import Machine, MachineConfig
 from repro.machine import codegen as cg
+from repro.machine import grid
 from repro.machine.boot import serialize
 from repro.obs import Profiler
 from repro.workloads import build_workload, load_workloads
@@ -42,6 +43,14 @@ def _program(name: str):
 
 def _budget(name: str) -> int:
     return max(64, DESIGNS[name].cycles + 300)
+
+
+def _forget_kernels(monkeypatch, name: str) -> None:
+    """Drop the exec'd-module memo and the program's memoized kernel
+    key, as a fresh process starts."""
+    monkeypatch.setattr(cg, "_MEMO", {})
+    monkeypatch.setattr(grid._program_record(_program(name)),
+                        "kernel_keys", {})
 
 
 def _assert_same(strict_m, strict_r, other_m, other_r):
@@ -127,10 +136,8 @@ def test_codegen_source_cache_warm_start(tmp_path, monkeypatch):
     cold machine (in-memory memo cleared) execs the cached source and
     still produces bit-identical results."""
     monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))
-    monkeypatch.setattr(cg, "_MEMO", {})
-    monkeypatch.setattr(cg, "_KEYS", {})
-
     name = "jpeg"
+    _forget_kernels(monkeypatch, name)
     budget = _budget(name)
     before = cg.EMISSIONS
     cold_m = Machine(_program(name), CONFIG, engine="codegen")
@@ -140,8 +147,7 @@ def test_codegen_source_cache_warm_start(tmp_path, monkeypatch):
 
     # Fresh process simulation: drop the in-memory memo so the module
     # must come back through the disk cache, not a new emission.
-    monkeypatch.setattr(cg, "_MEMO", {})
-    monkeypatch.setattr(cg, "_KEYS", {})
+    _forget_kernels(monkeypatch, name)
     warm_m = Machine(_program(name), CONFIG, engine="codegen")
     warm_r = warm_m.run(budget)
     assert cg.EMISSIONS == before + 1, "warm start re-emitted source"
@@ -149,10 +155,10 @@ def test_codegen_source_cache_warm_start(tmp_path, monkeypatch):
 
 
 def test_content_key_hit_skips_config_asdict(monkeypatch):
-    """A second machine of one program and an equal config hits
-    ``_KEYS`` without re-deriving the config repr, and gets the same
-    key a cold derivation gives."""
-    monkeypatch.setattr(cg, "_KEYS", {})
+    """A second machine of one program and an equal config hits the
+    program record's key memo without re-deriving the config repr, and
+    gets the same key a cold derivation gives."""
+    _forget_kernels(monkeypatch, "mc")
     program = _program("mc")
     first = cg._content_key(Machine(program, CONFIG, engine="codegen"))
     second_m = Machine(program, MachineConfig(grid_x=8, grid_y=8),
@@ -169,7 +175,7 @@ def test_content_key_hit_skips_config_asdict(monkeypatch):
     assert cg._content_key(second_m) == first
     assert calls == []
 
-    monkeypatch.setattr(cg, "_KEYS", {})
+    _forget_kernels(monkeypatch, "mc")
     assert cg._content_key(second_m) == first
     assert calls == ["MachineConfig"]
 
@@ -190,10 +196,8 @@ def test_codegen_damaged_cache_entry_is_re_emitted(tmp_path, monkeypatch,
     source is a miss: the kernel is emitted again, the entry is
     overwritten, and the run is bit-identical to the cold one."""
     monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))
-    monkeypatch.setattr(cg, "_MEMO", {})
-    monkeypatch.setattr(cg, "_KEYS", {})
-
     name = "jpeg"
+    _forget_kernels(monkeypatch, name)
     budget = _budget(name)
     cold_m = Machine(_program(name), CONFIG, engine="codegen")
     cold_r = cold_m.run(budget)
@@ -201,8 +205,7 @@ def test_codegen_damaged_cache_entry_is_re_emitted(tmp_path, monkeypatch,
     good = entry.read_bytes()
     entry.write_bytes(damage(good))
 
-    monkeypatch.setattr(cg, "_MEMO", {})
-    monkeypatch.setattr(cg, "_KEYS", {})
+    _forget_kernels(monkeypatch, name)
     before = cg.EMISSIONS
     warm_m = Machine(_program(name), CONFIG, engine="codegen")
     warm_r = warm_m.run(budget)
@@ -289,8 +292,7 @@ def test_compiled_program_is_pinned(name):
 
 def test_codegen_cache_can_be_disabled(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CODEGEN_CACHE", "off")
-    monkeypatch.setattr(cg, "_MEMO", {})
-    monkeypatch.setattr(cg, "_KEYS", {})
+    _forget_kernels(monkeypatch, "jpeg")
     machine = Machine(_program("jpeg"), CONFIG, engine="codegen")
     machine.run(_budget("jpeg"))
     assert not list(tmp_path.glob("*.py"))

@@ -7,11 +7,17 @@ full :class:`~repro.machine.grid.MachineResult` - Vcycle count,
 ``finished``, display stream, machine-wide ``PerfCounters``, cache
 statistics - plus every core's registers and scratchpad, across all
 nine benchmark designs and all three execution engines.
+
+Not observing must also cost nothing per Vcycle: once trusted, an
+unprofiled codegen run advances only through the bulk loop, and a
+profiled one never enters it.
 """
 
 from __future__ import annotations
 
 import functools
+import pickle
+from unittest import mock
 
 import pytest
 
@@ -114,3 +120,42 @@ def test_unfinished_run_status():
     assert not result.finished
     assert result.status() == "did not finish (stopped at the 3-Vcycle budget)"
     assert result.simulation_rate_khz(475.0) > 0.0
+
+
+@pytest.mark.parametrize("name", ["bc", "mc", "jpeg"])
+def test_unobserved_trusted_run_is_bulk_only(name):
+    """Unprofiled, a codegen machine steps one Vcycle at a time only for
+    its verification Vcycles and then runs in ``_run_bulk`` calls to the
+    end; a machine that starts trusted never steps one at a time.  With
+    a profiler attached every ``_run_bulk`` call declines."""
+    program = pickle.loads(pickle.dumps(_compiled(name).program))
+    budget = _budget(name, "fast")
+    steps, bulk = [], []
+    real_step, real_bulk = Machine.step_vcycle, Machine._run_bulk
+
+    def step_vcycle(machine):
+        steps.append(machine.counters.vcycles)
+        real_step(machine)
+
+    def run_bulk(machine, until):
+        bulk.append(real_bulk(machine, until))
+        return bulk[-1]
+
+    def run(profiler):
+        steps.clear()
+        bulk.clear()
+        with mock.patch.object(Machine, "step_vcycle", step_vcycle), \
+                mock.patch.object(Machine, "_run_bulk", run_bulk):
+            machine = Machine(program, CONFIG, engine="codegen",
+                              profiler=profiler)
+            return machine.run(budget)
+
+    verify = CONFIG.fastpath_verify_vcycles
+    result = run(None)
+    assert steps == list(range(verify))
+    assert bulk[:verify] == [False] * verify
+    assert len(bulk) > verify and all(bulk[verify:])
+    assert run(None) == result and steps == [] and all(bulk)
+    assert run(Profiler()) == result
+    assert bulk and not any(bulk)
+    assert steps == list(range(result.vcycles))

@@ -7,14 +7,16 @@ object: the Vcycle event schedule, built once and shared read-only by
 every machine of that program, and the configs a compiled-engine
 machine has verified.  A later machine of the same program object and
 config starts trusted, exactly as with ``fastpath_verify_vcycles=0``.
+The rebound lanes of a batch share their program's record.
 
 Checked here on bc, mc and jpeg at ``small``, for codegen on its Python
 kernel, codegen on the native tier and ``fast``: the trusted start is
 bit-identical with ``strict``; another config, an unpickled copy and a
 program whose strict Vcycle faults all verify again; the schedule is one
-tuple shared across machines and leaves with the program; and a
+tuple shared across machines and leaves with the program; a
 thread-mode server runs strict Vcycles for the first job of a design
-only.
+only; and a batched fuzz seed verifies and derives its kernel key for
+the first lane only.
 """
 
 from __future__ import annotations
@@ -195,6 +197,38 @@ def test_faulting_program_records_no_verdict(engine):
             machine.run(DESIGNS["mc"].cycles_at("small"))
         assert machine.counters.vcycles == 0
     assert not grid._program_record(bad).verified
+
+
+def test_batch_lanes_verify_and_key_once():
+    """The rebound lanes of a batch share their program's record: the
+    first lane alone runs strict verification Vcycles, and the kernel
+    key serializes the program once for all eight lanes."""
+    from repro.fuzz import fuzz_seed_batch
+    from repro.machine import codegen as cg
+    from repro.machine.batch import BatchRunner
+
+    runners, serialized = [], []
+    real_run, real_bytes = BatchRunner.run, cg._stripped_program_bytes
+
+    def run(runner, budget):
+        runners.append(runner)
+        return real_run(runner, budget)
+
+    def stripped_bytes(program):
+        serialized.append(program)
+        return real_bytes(program)
+
+    with _counting_step_events() as calls, \
+            mock.patch.object(BatchRunner, "run", run), \
+            mock.patch.object(cg, "_stripped_program_bytes",
+                              stripped_bytes):
+        report = fuzz_seed_batch(0, width=8)
+    assert report.ok and not report.rebind_fallback
+    (runner,) = runners
+    first = runner.machines[0]
+    assert calls and all(machine is first for machine in calls)
+    assert [id(p) for p in serialized] == [id(first.program)]
+    assert all(m._trusted for m in runner.machines[1:])
 
 
 def _reference_events(program):
