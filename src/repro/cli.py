@@ -134,9 +134,6 @@ def cmd_run(args) -> int:
     config = _grid_config(args)
     result = compile_circuit(circuit, _compiler_options(args))
 
-    if args.batch:
-        return _run_batch(args, result, config, cycles)
-
     store = None
     if args.checkpoint_dir:
         store = ckpt.CheckpointStore(args.checkpoint_dir,
@@ -218,62 +215,6 @@ def cmd_run(args) -> int:
     print(f"-- {mres.vcycles} Vcycles, {c.total_cycles} machine cycles "
           f"({c.stall_cycles} stalled), "
           f"rate @475MHz = {mres.simulation_rate_khz(475.0):.1f} kHz",
-          file=sys.stderr)
-    return 0
-
-
-def _run_batch(args, result, config, cycles) -> int:
-    """``repro run --batch N``: N identical lanes of one compiled design,
-    each a scalar machine (``repro.machine.batch``)."""
-    import json
-    import time
-
-    from .machine.batch import BatchRunner
-
-    incompatible = [flag for flag, on in [
-        ("--vcd", args.vcd), ("--checkpoint-dir", args.checkpoint_dir),
-        ("--checkpoint-every", args.checkpoint_every),
-        ("--resume", args.resume), ("--throttle", args.throttle),
-    ] if on]
-    if incompatible:
-        print(f"repro run: --batch is incompatible with "
-              f"{', '.join(incompatible)}", file=sys.stderr)
-        return 2
-
-    runner = BatchRunner(result.program, config, width=args.batch,
-                         engine=args.engine)
-    start = time.perf_counter()
-    outs = runner.run(cycles)
-    elapsed = time.perf_counter() - start
-
-    if args.json:
-        lanes = []
-        for lane, out in enumerate(outs):
-            if runner.errors[lane] is not None:
-                lanes.append({"lane": lane, "error": runner.errors[lane]})
-            else:
-                lanes.append({
-                    "lane": lane, "vcycles": out.vcycles,
-                    "finished": out.finished, "displays": out.displays,
-                    "counters": out.counters.as_dict(),
-                })
-        print(json.dumps({
-            "design": args.design or args.file,
-            "engine": args.engine,
-            "batch_width": args.batch,
-            "lanes": lanes,
-        }, indent=2, sort_keys=True))
-    else:
-        for lane, out in enumerate(outs):
-            if runner.errors[lane] is not None:
-                print(f"[lane {lane}] ERROR: {runner.errors[lane]}")
-                continue
-            for line in out.displays:
-                print(f"[lane {lane}] {line}")
-    total_vcycles = sum(out.vcycles for out in outs)
-    print(f"-- {args.batch} lanes, "
-          f"{total_vcycles} lane-Vcycles in {elapsed:.2f}s "
-          f"({total_vcycles / max(elapsed, 1e-9):.0f} lane-Vcycles/s)",
           file=sys.stderr)
     return 0
 
@@ -787,10 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "+ 300, or 1000000 for files)")
     p.add_argument("--engine", default="strict", choices=list(ENGINES),
                    help="machine execution engine (default: strict)")
-    p.add_argument("--batch", type=int, default=0, metavar="N",
-                   help="run N identical lanes of the design from one "
-                        "compile, one machine per lane (incompatible "
-                        "with --vcd/--checkpoint-*/--resume)")
     p.add_argument("--vcd", help="write a VCD waveform (on --resume, "
                                  "appends to an existing dump)")
     p.add_argument("--trace", help="comma-separated register prefixes")
@@ -954,8 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="thread",
                    choices=["thread", "process"],
                    help="job execution backend: thread (in-process) or "
-                        "process (leased pool workers, fault-isolated; "
-                        "default: thread)")
+                        "process (one worker process per slot, "
+                        "fault-isolated; default: thread)")
     p.add_argument("--engine", default="fast", choices=list(ENGINES),
                    help="default engine for submissions (default: fast)")
     add_grid(p)

@@ -25,11 +25,20 @@ from .schedule import ScheduledProgram
 ZERO_CONST = "$c0000"
 
 
-def _persistent_regs(scheduled: ScheduledProgram, core_id: int) -> set:
-    pid = scheduled.cores[core_id].pid
-    proc = scheduled.image.processes[pid]
-    return set(proc.reg_init) | set(
-        scheduled.image.receive_regs.get(pid, ()))
+def persistent_map(scheduled: ScheduledProgram,
+                   core_id: int) -> dict[str, int]:
+    """Core ``core_id``'s persistent register -> machine slot map: its
+    boot-initialized and received registers in name order, then the
+    zero constant when a ``Mov`` needs one.  Slots ``0..len-1`` hold
+    them for the whole program; temps take the slots above."""
+    core = scheduled.cores[core_id]
+    regs = sorted(set(scheduled.image.processes[core.pid].reg_init)
+                  | set(scheduled.image.receive_regs.get(core.pid, ())),
+                  key=str)
+    needs_zero = any(isinstance(instr, Mov) for _, instr in core.items)
+    if needs_zero and ZERO_CONST not in regs:
+        regs.append(ZERO_CONST)
+    return {reg: i for i, reg in enumerate(regs)}
 
 
 def allocate(scheduled: ScheduledProgram) -> MachineProgram:
@@ -38,13 +47,8 @@ def allocate(scheduled: ScheduledProgram) -> MachineProgram:
     config = scheduled.config
 
     # Phase 1: persistent register maps (needed across cores for Sends).
-    persist_map: dict[int, dict[str, int]] = {}
-    for core_id, core in scheduled.cores.items():
-        regs = sorted(_persistent_regs(scheduled, core_id), key=str)
-        needs_zero = any(isinstance(instr, Mov) for _, instr in core.items)
-        if needs_zero and ZERO_CONST not in regs:
-            regs.append(ZERO_CONST)
-        persist_map[core_id] = {reg: i for i, reg in enumerate(regs)}
+    persist_map = {core_id: persistent_map(scheduled, core_id)
+                   for core_id in scheduled.cores}
 
     core_of_pid = {core.pid: cid for cid, core in scheduled.cores.items()}
 

@@ -272,14 +272,6 @@ class _CoreState:
         self.height = height
         return True
 
-    # ------------------------------------------------------------------
-    def ready_at(self, i: int, now: int) -> bool:
-        for p, delay in self.preds[i]:
-            t = self.issue_time.get(p)
-            if t is None or t + delay > now:
-                return False
-        return True
-
 
 def _place(image: ProgramImage, pids: list[int],
            config: MachineConfig) -> dict[int, int]:

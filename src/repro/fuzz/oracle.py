@@ -598,7 +598,10 @@ def fuzz_seed_batch(seed: int, width: int = 8,
     compared - displays, cycle count, finish status - against its own
     golden strict-interpreter run, so one pass checks B seeds' worth of
     stimulus for the price of one compile plus B machine runs that share
-    one kernel.
+    one kernel.  Each lane is its own :class:`~repro.machine.grid.
+    Machine`, run in lane order; a lane that raises
+    :class:`~repro.isa.program.SimulationFailure` records the error text
+    as its observed outcome and the other lanes still run.
 
     The compile is shared across lanes via :func:`~repro.machine.batch.
     rebind_reg_inits`; one rebound lane is byte-compared against a
@@ -607,10 +610,14 @@ def fuzz_seed_batch(seed: int, width: int = 8,
     ``rebind_fallback``).
     """
     from ..compiler import CompilerOptions, compile_circuit
-    from ..machine.batch import BatchRunner, rebind_reg_inits
+    from ..isa.program import SimulationFailure
+    from ..machine.batch import rebind_reg_inits
     from ..machine.boot import serialize
+    from ..machine.grid import Machine
     from .generator import lane_init_overrides, variant_circuit
 
+    if width < 1:
+        raise ValueError(f"batch width must be >= 1, got {width}")
     params = params or GeneratorParams()
     budget = cycles if cycles is not None else params.cycles + 8
     start = time.perf_counter()
@@ -640,15 +647,15 @@ def fuzz_seed_batch(seed: int, width: int = 8,
                     options).program if ov else result.program
                 for ov in overrides]
 
-    runner = BatchRunner(programs, config, engine=engine)
-    outs = runner.run(budget)
     lane_names = []
     divergences: list[Divergence] = []
-    for lane, (golden, out) in enumerate(zip(goldens, outs)):
+    for lane, (golden, program) in enumerate(zip(goldens, programs)):
         name = f"machine-{engine}-batch{width}[lane {lane}]"
         lane_names.append(name)
-        if runner.errors[lane] is not None:
-            observed = OracleResult(error=runner.errors[lane])
+        try:
+            out = Machine(program, config, engine=engine).run(budget)
+        except SimulationFailure as exc:
+            observed = OracleResult(error=f"{type(exc).__name__}: {exc}")
         else:
             observed = OracleResult(list(out.displays), out.vcycles,
                                     out.finished)

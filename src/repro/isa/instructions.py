@@ -14,7 +14,7 @@ as dict keys and compared structurally in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterator, Union
+from typing import Union
 
 Reg = Union[str, int]
 
@@ -333,9 +333,3 @@ def is_privileged(instr: Instruction) -> bool:
     """True if the instruction may stall the whole grid (paper SS4.2)."""
     return isinstance(instr, PRIVILEGED_TYPES)
 
-
-def registers_of(instrs) -> Iterator[Reg]:
-    """All register operands mentioned by a sequence of instructions."""
-    for instr in instrs:
-        yield from instr.reads()
-        yield from instr.writes()

@@ -2,7 +2,7 @@
 lockstep grid with global stall, the bootloader binary format, and the
 host runtime."""
 
-from .batch import BatchRunner, rebind_reg_inits, run_batch
+from .batch import rebind_reg_inits
 from .boot import deserialize, serialize
 from .debug import TraceRecorder
 from .cache import Cache, CacheStats
@@ -15,11 +15,11 @@ from .runtime import SimulationRun, simulate_on_manticore
 from .waveform import Probe, WaveformCollector, trace_map_for
 
 __all__ = [
-    "BatchRunner", "Cache", "CacheStats",
+    "Cache", "CacheStats",
     "CodegenUnsupported", "COMPILED_ENGINES", "ENGINES",
     "FastpathUnsupported", "Machine", "MachineConfig", "MachineResult",
     "PerfCounters", "PROTOTYPE", "Probe", "SimulationRun", "TINY",
     "TraceRecorder", "WaveformCollector", "deserialize",
-    "rebind_reg_inits", "run_batch", "serialize",
+    "rebind_reg_inits", "serialize",
     "simulate_on_manticore", "trace_map_for",
 ]

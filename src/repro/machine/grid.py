@@ -105,8 +105,11 @@ class MachineResult:
         return f"did not finish (stopped at the {self.vcycles}-Vcycle budget)"
 
 
+_ZERO_WORD = array("H", [0])
+
+
 def _zero_words(n: int) -> array:
-    return array("H", bytes(2 * n))
+    return _ZERO_WORD * n
 
 
 def _refill(words: array, live: list[int]) -> None:
@@ -528,8 +531,8 @@ class Machine:
         """Trust a compiled-engine machine that has run nothing yet and
         needs no verification: ``fastpath_verify_vcycles=0``, or a
         machine of its program object verified the schedule under this
-        config - before this one was built, or after it (the later lanes
-        of a batch, all built up front)."""
+        config - before this one was built, or after it (a machine built
+        up front, before its program's first machine ran)."""
         if (self.counters.vcycles or self._event_pos
                 or self.engine not in COMPILED_ENGINES):
             return False

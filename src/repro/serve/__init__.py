@@ -2,9 +2,9 @@
 
 Fronts the existing stack — content-addressed compile cache (dedupe),
 ``run_with_checkpoints`` + PR-5 snapshots (preemption and migration),
-persistent pool leases (process isolation), and the :mod:`repro.obs`
-Prometheus textfile path (metrics) — behind one asyncio server with a
-per-tenant fair-share queue.
+one worker process per job slot (process isolation), and the
+:mod:`repro.obs` Prometheus textfile path (metrics) — behind one asyncio
+server with a per-tenant fair-share queue.
 """
 
 from .client import ServeClient, ServeClientError, plan_load, run_load

@@ -17,11 +17,11 @@ One asyncio event loop fronts the whole existing stack:
   pressure or an explicit :meth:`SimulationServer.preempt`) stops -
   mid-Vcycle on the checking engines - publishes a durable snapshot,
   and resumes bit-identically on a *different* worker;
-* **fault isolation** - in ``mode="process"`` each job chunk runs on a
-  leased :class:`~repro.pool.PersistentPool` worker; a SIGKILLed worker
-  surfaces as :class:`~repro.pool.PoolWorkerLost`, the job is retried
-  from its last snapshot (``retries`` budget) or failed loudly - never
-  a hang;
+* **fault isolation** - in ``mode="process"`` every job slot owns one
+  worker process, and each job chunk runs there; a SIGKILLed worker
+  surfaces as :class:`WorkerLost`, the job is retried from its last
+  snapshot on a fresh process (``retries`` budget) or failed loudly -
+  never a hang;
 * **metrics** - per-job / per-tenant counters and latency percentiles,
   exported through the :mod:`repro.obs` Prometheus textfile path
   (:func:`repro.obs.export.serve_prometheus_textfile`) and validated
@@ -38,6 +38,8 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import multiprocessing as mp
+import pickle
 import shutil
 import tempfile
 import time
@@ -50,7 +52,6 @@ from ..compiler.cache import CompileCache
 from ..compiler.driver import CompilerOptions, compile_circuit
 from ..machine.config import MachineConfig
 from ..machine.grid import ENGINES
-from ..pool import PersistentPool, PoolWorkerLost
 from .jobs import Job, state_digest
 
 #: Current shape version of :meth:`SimulationServer.metrics_snapshot`.
@@ -126,9 +127,6 @@ class FairQueue:
     def __len__(self) -> int:
         return sum(len(q) for q in self._queues.values())
 
-    def queued_tenants(self) -> list[str]:
-        return [t for t, q in self._queues.items() if q]
-
 
 # ---------------------------------------------------------------------------
 # The server.
@@ -192,7 +190,9 @@ class SimulationServer:
         self._next_id = 1
         self._tasks: list[asyncio.Task] = []
         self._cond: asyncio.Condition | None = None
-        self._pool: PersistentPool | None = None
+        #: process mode: the worker process and pipe of each job slot
+        #: (``wid``), started on the slot's first job.
+        self._procs: dict[int, tuple] = {}
         self._started = time.monotonic()
         self.shutdown_event: asyncio.Event | None = None
 
@@ -230,9 +230,8 @@ class SimulationServer:
             except (asyncio.CancelledError, Exception):
                 pass
         self._tasks = []
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        for wid in list(self._procs):
+            self._kill_slot(wid)
         self._artifacts.clear()
         for path in self._owned_dirs:
             shutil.rmtree(path, ignore_errors=True)
@@ -352,11 +351,11 @@ class SimulationServer:
             compiled = await self._compiled(job)
             job.advance("running")
             if self.mode == "process":
-                payload = await self._run_process(job)
+                payload = await self._run_process(wid, job)
             else:
                 payload = await asyncio.to_thread(
                     self._run_thread, job, compiled)
-        except PoolWorkerLost as exc:
+        except WorkerLost as exc:
             await self._lost_worker(wid, job, exc)
             return
         except Exception as exc:  # noqa: BLE001 - job-scoped failure
@@ -368,7 +367,7 @@ class SimulationServer:
             self._finish(job, result=payload)
 
     async def _lost_worker(self, wid: int, job: Job,
-                           exc: PoolWorkerLost) -> None:
+                           exc: WorkerLost) -> None:
         """A worker process died under the job: retry from the last
         durable snapshot on a fresh worker, or fail loudly."""
         job.attempts += 1
@@ -494,41 +493,84 @@ class SimulationServer:
             return None
         return self._result_payload(run)
 
-    async def _run_process(self, job: Job) -> dict | None:
+    async def _run_process(self, wid: int, job: Job) -> dict | None:
         """Process-mode executor: run the job in bounded-Vcycle chunks
-        on a leased pool worker, each chunk resuming from (and ending
-        with) a durable snapshot.  Preemption is honored between
-        chunks; a dead worker raises PoolWorkerLost to the caller."""
-        if self._pool is None:
-            self._pool = PersistentPool()
-        lease = await asyncio.to_thread(self._pool.lease)
-        job.pids.append(lease.pid or -1)
+        on slot ``wid``'s worker process, each chunk resuming from (and
+        ending with) a durable snapshot.  Preemption is honored between
+        chunks; a dead worker raises WorkerLost to the caller."""
+        proc, _ = self._slot_process(wid)
+        job.pids.append(proc.pid or -1)
+        while True:
+            request = {
+                "key": job.cache_key,
+                "cache_dir": str(self.cache_dir),
+                "config": dataclasses.asdict(self.config),
+                "engine": job.engine,
+                "budget": job.cycles,
+                "chunk": self.chunk_vcycles,
+                "ckpt_dir": str(self._job_dir(job)),
+                "keep": self.keep_snapshots,
+                "checkpoint_every": self.checkpoint_every,
+                "resume": (job.progress > 0 or job.preemptions > 0
+                           or job.attempts > 0),
+            }
+            reply = await asyncio.to_thread(self._run_chunk, wid, request)
+            job.progress = reply["vcycles"]
+            if reply["done"]:
+                return {k: reply[k] for k in
+                        ("vcycles", "finished", "displays",
+                         "counters", "state_sha256", "resumed_from")}
+            if job.preempt_flag.is_set():
+                return None
+
+    def _slot_process(self, wid: int) -> tuple:
+        """Slot ``wid``'s ``(process, pipe)``, starting a worker when the
+        slot has none or its last one died between jobs.  The start
+        method is ``fork`` where the platform has it (cheap, and the
+        worker inherits every imported module warm), else the platform
+        default.  Workers start on the event-loop thread only, so no
+        sibling fork can inherit a new worker's end of its pipe and keep
+        the pipe open after the worker died."""
+        slot = self._procs.get(wid)
+        if slot is not None and slot[0].is_alive():
+            return slot
+        self._kill_slot(wid)
+        methods = mp.get_all_start_methods()
+        ctx = mp.get_context("fork" if "fork" in methods else None)
+        conn, child = ctx.Pipe()
+        proc = ctx.Process(target=_worker_main, args=(child,), daemon=True)
+        proc.start()
+        child.close()
+        self._procs[wid] = proc, conn
+        return proc, conn
+
+    def _run_chunk(self, wid: int, request: dict) -> dict:
+        """:func:`_serve_run_chunk` on slot ``wid``'s worker.  Its
+        exceptions re-raise here with their original type; a closed
+        pipe (SIGKILL, OOM, segfault) kills and forgets the worker and
+        raises :class:`WorkerLost` instead of blocking forever."""
+        proc, conn = self._procs[wid]
         try:
-            while True:
-                request = {
-                    "key": job.cache_key,
-                    "cache_dir": str(self.cache_dir),
-                    "config": dataclasses.asdict(self.config),
-                    "engine": job.engine,
-                    "budget": job.cycles,
-                    "chunk": self.chunk_vcycles,
-                    "ckpt_dir": str(self._job_dir(job)),
-                    "keep": self.keep_snapshots,
-                    "checkpoint_every": self.checkpoint_every,
-                    "resume": (job.progress > 0 or job.preemptions > 0
-                               or job.attempts > 0),
-                }
-                reply = await asyncio.to_thread(
-                    lease.run, _serve_run_chunk, request)
-                job.progress = reply["vcycles"]
-                if reply["done"]:
-                    return {k: reply[k] for k in
-                            ("vcycles", "finished", "displays",
-                             "counters", "state_sha256", "resumed_from")}
-                if job.preempt_flag.is_set():
-                    return None
-        finally:
-            await asyncio.to_thread(self._pool.reclaim, lease)
+            conn.send(request)
+            status, value = conn.recv()
+        except (EOFError, BrokenPipeError, OSError):
+            self._kill_slot(wid)
+            raise WorkerLost(
+                f"leased worker (pid {proc.pid}) died running "
+                f"{__name__}:_serve_run_chunk") from None
+        if status == "err":
+            raise pickle.loads(value)
+        return value
+
+    def _kill_slot(self, wid: int) -> None:
+        slot = self._procs.pop(wid, None)
+        if slot is None:
+            return
+        proc, conn = slot
+        conn.close()
+        if proc.is_alive():
+            proc.terminate()
+        proc.join(timeout=5)
 
     @staticmethod
     def _result_payload(run) -> dict:
@@ -595,12 +637,40 @@ class SimulationServer:
 
 
 # ---------------------------------------------------------------------------
-# Process-mode worker entry point (dispatched by name through the pool).
+# Process-mode worker.
 # ---------------------------------------------------------------------------
 
 
+class WorkerLost(RuntimeError):
+    """A job slot's worker process died mid-chunk.  Raised instead of
+    hanging; the job is retried on a fresh process or failed."""
+
+
+def _worker_main(conn) -> None:
+    """A slot worker's loop: receive a chunk request, reply ``("ok",
+    reply)`` or ``("err", pickled exception)``.  Exits when the
+    server's end of the pipe closes."""
+    while True:
+        try:
+            request = conn.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            out = ("ok", _serve_run_chunk(request))
+        except BaseException as exc:  # noqa: BLE001 - shipped to server
+            try:
+                blob = pickle.dumps(exc)
+            except Exception:
+                blob = pickle.dumps(RuntimeError(repr(exc)))
+            out = ("err", blob)
+        try:
+            conn.send(out)
+        except (BrokenPipeError, OSError):
+            return
+
+
 def _serve_run_chunk(request: dict) -> dict:
-    """Advance one job by up to ``chunk`` Vcycles on a leased worker.
+    """Advance one job by up to ``chunk`` Vcycles on a slot worker.
 
     The compiled program travels as a content-addressed cache key, never
     over the pipe; job state travels as PR-5 snapshots in the job's

@@ -183,7 +183,7 @@ class _BlockNumpy:
 sys.meta_path.insert(0, _BlockNumpy())
 from repro.compiler import CompilerOptions, compile_circuit
 from repro.fuzz.generator import logic_heavy_circuit
-from repro.machine import Machine, MachineConfig, run_batch
+from repro.machine import Machine, MachineConfig
 
 config = MachineConfig(grid_x=4, grid_y=4)
 result = compile_circuit(logic_heavy_circuit(), CompilerOptions(
@@ -194,7 +194,8 @@ run = Machine(result.program, config, engine="strict").run(10_000)
 assert run.finished, run.vcycles
 solo = Machine(result.program, config, engine="codegen").run(10_000)
 assert solo == run, (solo, run)
-lanes = run_batch(result.program, 10_000, config, width=40)
+lanes = [Machine(result.program, config, engine="codegen").run(10_000)
+         for _ in range(40)]
 assert len(lanes) == 40
 for lane in lanes:
     assert lane == solo, lane

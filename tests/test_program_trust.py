@@ -205,30 +205,29 @@ def test_batch_lanes_verify_and_key_once():
     key serializes the program once for all eight lanes."""
     from repro.fuzz import fuzz_seed_batch
     from repro.machine import codegen as cg
-    from repro.machine.batch import BatchRunner
 
-    runners, serialized = [], []
-    real_run, real_bytes = BatchRunner.run, cg._stripped_program_bytes
+    lanes, serialized = [], []
+    real_run, real_bytes = Machine.run, cg._stripped_program_bytes
 
-    def run(runner, budget):
-        runners.append(runner)
-        return real_run(runner, budget)
+    def run(machine, budget):
+        lanes.append(machine)
+        return real_run(machine, budget)
 
     def stripped_bytes(program):
         serialized.append(program)
         return real_bytes(program)
 
     with _counting_step_events() as calls, \
-            mock.patch.object(BatchRunner, "run", run), \
+            mock.patch.object(Machine, "run", run), \
             mock.patch.object(cg, "_stripped_program_bytes",
                               stripped_bytes):
         report = fuzz_seed_batch(0, width=8)
     assert report.ok and not report.rebind_fallback
-    (runner,) = runners
-    first = runner.machines[0]
+    assert len(lanes) == 8
+    first = lanes[0]
     assert calls and all(machine is first for machine in calls)
     assert [id(p) for p in serialized] == [id(first.program)]
-    assert all(m._trusted for m in runner.machines[1:])
+    assert all(m._trusted for m in lanes[1:])
 
 
 def _reference_events(program):

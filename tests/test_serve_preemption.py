@@ -10,7 +10,7 @@ The two hard promises of the service:
   lands mid-Vcycle) and end-to-end through the server (the job's worker
   history shows the migration);
 * **fault isolation, never a hang** — in process mode a SIGKILLed
-  worker surfaces as :class:`~repro.pool.PoolWorkerLost`; the job is
+  worker surfaces as :class:`~repro.serve.server.WorkerLost`; the job is
   retried from its last durable snapshot on a fresh process (and still
   finishes bit-identical) or, with the retry budget exhausted, fails
   with a diagnostic.  Every wait in this file carries a timeout, so a
@@ -25,8 +25,6 @@ import os
 import signal
 import threading
 from unittest import mock
-
-import pytest
 
 from repro.checkpoint import CheckpointStore, load_snapshot, \
     run_with_checkpoints
@@ -326,26 +324,3 @@ def test_sigkilled_worker_with_no_retries_fails_loudly_never_hangs():
     assert job.attempts == 1
     assert "worker lost" in job.error
     assert "retries exhausted" in job.error
-
-
-def test_worker_lease_surfaces_death_immediately():
-    """The pool-lease primitive itself: SIGKILL between calls raises
-    PoolWorkerLost on the next call instead of blocking."""
-    from repro.pool import PersistentPool, PoolWorkerLost
-
-    pool = PersistentPool()
-    try:
-        lease = pool.lease()
-        assert lease.run(len, [1, 2, 3]) == 3
-        os.kill(lease.pid, signal.SIGKILL)
-        with pytest.raises(PoolWorkerLost):
-            lease.run(len, [1])
-        lease._worker.proc.join(timeout=10)   # reap before checking
-        assert not lease.alive
-        pool.reclaim(lease)            # burying a dead lease is fine
-        fresh = pool.lease()           # and the next lease is healthy
-        assert fresh.pid != lease.pid
-        assert fresh.run(len, [1]) == 1
-        pool.reclaim(fresh)
-    finally:
-        pool.close()
