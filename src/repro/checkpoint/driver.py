@@ -150,8 +150,8 @@ def run_with_checkpoints(
     final handoff snapshot synchronously (so it is durable before the
     job is handed to another worker), and returns with ``preempted=True``.
     With ``preempt_grain=G > 0`` a machine on a *checking* engine is
-    advanced ``G`` events at a time and the hook is polled between
-    chunks, so a preemption can land mid-Vcycle - messages in flight,
+    advanced ``G`` events at a time and the hook is polled before each
+    chunk, so a preemption can land mid-Vcycle - messages in flight,
     pending writebacks and all - and still resume bit-identically
     (mid-Vcycle snapshots are a PR-5 capability).  Trusted compiled
     engines execute Vcycles atomically, so they are polled at Vcycle
@@ -195,14 +195,16 @@ def run_with_checkpoints(
             if preempt is not None and preempt_grain > 0 \
                     and not machine._trusted:
                 # Checking engine: advance event-by-event so the hook
-                # can fire (and the snapshot land) mid-Vcycle.
-                completed = machine.step_events(preempt_grain)
+                # can fire (and the snapshot land) mid-Vcycle.  It is
+                # polled before every chunk, so a Vcycle of at most
+                # ``preempt_grain`` events still polls once.
+                completed = False
                 while not completed:
                     if preempt():
                         preempted = True
                         break
                     completed = machine.step_events(preempt_grain)
-                if not completed:
+                if preempted:
                     break
             else:
                 if preempt is not None and preempt():

@@ -169,10 +169,14 @@ def cmd_run(args) -> int:
         if args.throttle:
             time.sleep(args.throttle)
 
+    # Any per-Vcycle hook keeps the driver off the bulk path, so pass
+    # one only when a waveform or the throttle needs every Vcycle.
+    per_vcycle = probes is not None or args.throttle
     run = ckpt.run_with_checkpoints(
         result.program, cycles, config=config, engine=args.engine,
         store=store, checkpoint_every=args.checkpoint_every,
-        resume=args.resume, on_start=on_start, on_vcycle=on_vcycle)
+        resume=args.resume, on_start=on_start,
+        on_vcycle=on_vcycle if per_vcycle else None)
     mres = run.result
 
     for bad in run.rejected:
@@ -489,7 +493,6 @@ def cmd_serve(args) -> int:
             workers=args.workers, mode=args.mode, config=config,
             engine_default=args.engine, cache_dir=cache_dir,
             checkpoint_every=args.checkpoint_every,
-            chunk_vcycles=args.chunk_vcycles,
             preempt_grain=args.preempt_grain, retries=args.retries)
         await server.start()
         sock = await serve_unix(server, args.socket)
@@ -892,7 +895,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["thread", "process"],
                    help="job execution backend: thread (in-process) or "
                         "process (one worker process per slot, "
-                        "fault-isolated; default: thread)")
+                        "fault-isolated, one request per job dispatch; "
+                        "default: thread)")
     p.add_argument("--engine", default="fast", choices=list(ENGINES),
                    help="default engine for submissions (default: fast)")
     add_grid(p)
@@ -902,11 +906,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true",
                    help="use a private throwaway compile cache")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="K",
-                   help="snapshot running jobs every K Vcycles "
-                        "(0 = only at preemption handoffs)")
-    p.add_argument("--chunk-vcycles", type=int, default=256, metavar="N",
-                   help="process mode: Vcycles per worker dispatch "
-                        "(default: 256)")
+                   help="snapshot running jobs every K Vcycles; a job "
+                        "whose worker process dies resumes from the last "
+                        "one (0 = only at preemption handoffs)")
     p.add_argument("--preempt-grain", type=int, default=16, metavar="G",
                    help="checking engines: events between preemption "
                         "polls, enabling mid-Vcycle handoff (default: 16)")

@@ -94,10 +94,6 @@ class PGlobalStore(isa.Instruction):
                              ctx.read_reg(self.rs))
 
 
-def is_pseudo(instr: isa.Instruction) -> bool:
-    return isinstance(instr, (Mov, PLocalStore, PGlobalStore))
-
-
 def duration_of(instr: isa.Instruction) -> int:
     """Machine cycles the instruction occupies once expanded."""
     return 2 if isinstance(instr, (PLocalStore, PGlobalStore)) else 1

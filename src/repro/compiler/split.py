@@ -62,9 +62,6 @@ class PartitionedProgram:
     design: LoweredDesign
     partitions: list[Partition]
 
-    def max_cost(self) -> int:
-        return max((p.cost() for p in self.partitions), default=0)
-
     def total_instructions(self) -> int:
         return sum(p.cost() for p in self.partitions)
 

@@ -33,10 +33,6 @@ class TimingEstimate:
     auto_mhz: float
     guided_mhz: float
 
-    @property
-    def best_mhz(self) -> float:
-        return max(self.auto_mhz, self.guided_mhz)
-
 
 def _interp(points: list[tuple[int, float]], cores: int) -> float:
     points = sorted(points)

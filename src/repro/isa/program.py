@@ -114,9 +114,6 @@ class Process:
     def sends(self) -> list[isa.Send]:
         return [i for i in self.body if isinstance(i, isa.Send)]
 
-    def has_privileged(self) -> bool:
-        return any(isa.is_privileged(i) for i in self.body)
-
 
 @dataclass
 class ProgramImage:
@@ -164,14 +161,8 @@ class MachineProgram:
     global_init: dict[int, int] = field(default_factory=dict)
     privileged_core: int = 0
 
-    def core_coord(self, core_id: int) -> tuple[int, int]:
-        return core_id % self.grid[0], core_id // self.grid[0]
-
     def core_id(self, x: int, y: int) -> int:
         return y * self.grid[0] + x
-
-    def used_cores(self) -> int:
-        return len(self.cores)
 
     def max_instruction_footprint(self) -> int:
         return max((c.total_length for c in self.cores.values()), default=0)

@@ -15,7 +15,7 @@ AddCarry->AddCarry carry forwarding rides the DSP cascade (distance 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..isa.instructions import NUM_REGISTERS, SCRATCHPAD_WORDS
 
@@ -78,9 +78,6 @@ class MachineConfig:
 
     def coord(self, core_id: int) -> tuple[int, int]:
         return core_id % self.grid_x, core_id // self.grid_x
-
-    def with_grid(self, x: int, y: int) -> "MachineConfig":
-        return replace(self, grid_x=x, grid_y=y)
 
     def route(self, src: int, dst: int) -> list[tuple[str, int, int]]:
         """Dimension-ordered route on the unidirectional torus.

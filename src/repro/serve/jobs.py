@@ -110,7 +110,8 @@ class Job:
     preemptions: int = 0
     #: lost-worker retries consumed.
     attempts: int = 0
-    #: Vcycles completed so far (updated at chunk/preemption boundaries).
+    #: Vcycles completed so far (updated when a dispatch ends: at a
+    #: preemption or completion).
     progress: int = 0
     #: worker id that must NOT resume this job next (migration target
     #: exclusion after a preemption), or None.
@@ -119,8 +120,9 @@ class Job:
     result: dict | None = None
     error: str | None = None
 
-    #: cooperative preemption flag polled by the checkpoint driver
-    #: (thread mode) / between chunks (process mode).
+    #: cooperative preemption flag, polled by the checkpoint driver in
+    #: thread mode; in process mode the server forwards it to the slot
+    #: worker's pipe, which the driver polls instead.
     preempt_flag: threading.Event = field(default_factory=threading.Event,
                                           repr=False)
     #: set by the server when the job reaches a terminal state.

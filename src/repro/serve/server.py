@@ -11,16 +11,21 @@ One asyncio event loop fronts the whole existing stack:
   fingerprint-identical circuits from different tenants compile exactly
   once (in-flight submissions share the same compile future, later ones
   hit the in-memory artifact LRU or the disk artifact);
-* **preemption and migration** - jobs execute under
+* **preemption and migration** - both modes run a job through one
+  executor, :func:`run_job`, over
   :func:`~repro.checkpoint.driver.run_with_checkpoints` with the PR-5
   snapshot format as the handoff mechanism: a preempted job (priority
   pressure or an explicit :meth:`SimulationServer.preempt`) stops -
   mid-Vcycle on the checking engines - publishes a durable snapshot,
-  and resumes bit-identically on a *different* worker;
+  and resumes bit-identically on a *different* worker.  The executor
+  polls the job's flag in thread mode and its slot's pipe in process
+  mode;
 * **fault isolation** - in ``mode="process"`` every job slot owns one
-  worker process, and each job chunk runs there; a SIGKILLed worker
-  surfaces as :class:`WorkerLost`, the job is retried from its last
-  snapshot on a fresh process (``retries`` budget) or failed loudly -
+  worker process, and each dispatch of a job runs there as one request;
+  a SIGKILLed worker surfaces as :class:`WorkerLost`, the job is
+  retried on a fresh process from its last durable snapshot (one every
+  ``checkpoint_every`` Vcycles, or a preemption handoff; from Vcycle 0
+  without either) within the ``retries`` budget, or failed loudly -
   never a hang;
 * **metrics** - per-job / per-tenant counters and latency percentiles,
   exported through the :mod:`repro.obs` Prometheus textfile path
@@ -36,7 +41,6 @@ the ``repro serve`` / ``repro submit`` transport).
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import multiprocessing as mp
 import pickle
@@ -64,6 +68,9 @@ MODES = ("thread", "process")
 #: cache key, least recently used evicted first.  Jobs of one design
 #: then share one ``CompileResult`` - and one ``MachineProgram``, which
 #: nothing mutates after compile - instead of unpickling their own.
+#: Process-mode workers load the artifact from disk, so there every job
+#: goes through ``compile_circuit``, which re-stores an artifact the
+#: disk cache evicted before the worker reads it.
 ARTIFACT_LRU_SIZE = 8
 
 
@@ -152,7 +159,6 @@ class SimulationServer:
                  cache_dir: str | None = None,
                  work_dir: str | None = None,
                  checkpoint_every: int = 0,
-                 chunk_vcycles: int = 256,
                  preempt_grain: int = 16,
                  retries: int = 1,
                  keep_snapshots: int = 3) -> None:
@@ -167,7 +173,6 @@ class SimulationServer:
         self.config = config or MachineConfig(grid_x=8, grid_y=8)
         self.engine_default = engine_default
         self.checkpoint_every = checkpoint_every
-        self.chunk_vcycles = chunk_vcycles
         self.preempt_grain = preempt_grain
         self.retries = retries
         self.keep_snapshots = keep_snapshots
@@ -302,8 +307,21 @@ class SimulationServer:
         job = self._jobs[job_id]
         if job.state != "running" or not job.preemptible:
             return False
-        job.preempt_flag.set()
+        self._request_preempt(job)
         return True
+
+    def _request_preempt(self, job: Job) -> None:
+        """Set the job's preemption flag.  In process mode a running
+        job's worker polls its pipe, not the flag, so the request is
+        also written there once; a job still compiling gets it at
+        dispatch (:meth:`_run_process`)."""
+        if job.preempt_flag.is_set():
+            return
+        job.preempt_flag.set()
+        if self.mode == "process" and job.state == "running":
+            slot = self._procs.get(job.workers[-1])
+            if slot is not None:
+                _send(slot[1], "preempt")
 
     def _maybe_preempt(self, incoming: Job) -> None:
         """Priority preemption on submit: if every worker is busy and
@@ -317,7 +335,7 @@ class SimulationServer:
         if not victims:
             return
         victim = min(victims, key=lambda j: (j.priority, j.id))
-        victim.preempt_flag.set()
+        self._request_preempt(victim)
 
     def _tenant_counter(self, tenant: str, key: str) -> None:
         counters = self._tenant_counters.setdefault(
@@ -350,17 +368,20 @@ class SimulationServer:
                 job.advance("compiling")
             compiled = await self._compiled(job)
             job.advance("running")
+            spec = self._job_spec(job)
             if self.mode == "process":
-                payload = await self._run_process(wid, job)
+                progress, payload = await self._run_process(wid, job, spec)
             else:
-                payload = await asyncio.to_thread(
-                    self._run_thread, job, compiled)
+                progress, payload = await asyncio.to_thread(
+                    run_job, compiled.program, spec,
+                    job.preempt_flag.is_set)
         except WorkerLost as exc:
             await self._lost_worker(wid, job, exc)
             return
         except Exception as exc:  # noqa: BLE001 - job-scoped failure
             self._finish(job, error=f"{type(exc).__name__}: {exc}")
             return
+        job.progress = progress
         if payload is None:
             await self._requeue_preempted(wid, job)
         else:
@@ -476,52 +497,45 @@ class SimulationServer:
     def _job_dir(self, job: Job) -> Path:
         return self.work_dir / f"job-{job.id:06d}"
 
-    def _run_thread(self, job: Job, compiled) -> dict | None:
-        """Thread-mode executor (runs in a worker thread): advance the
-        job to completion, a preemption point, or its budget."""
-        store = CheckpointStore(self._job_dir(job),
-                                keep=self.keep_snapshots)
-        resume = job.preemptions > 0 or job.attempts > 0
-        run = run_with_checkpoints(
-            compiled.program, job.cycles, config=self.config,
-            engine=job.engine, store=store,
-            checkpoint_every=self.checkpoint_every, resume=resume,
-            preempt=job.preempt_flag.is_set,
-            preempt_grain=self.preempt_grain)
-        job.progress = run.result.vcycles
-        if run.preempted:
-            return None
-        return self._result_payload(run)
+    def _job_spec(self, job: Job) -> dict:
+        """The :func:`run_job` arguments of the job's next dispatch
+        besides the program and the preemption poll; plain data, so it
+        crosses a worker pipe unchanged."""
+        return {
+            "budget": job.cycles,
+            "config": self.config,
+            "engine": job.engine,
+            "ckpt_dir": str(self._job_dir(job)),
+            "keep": self.keep_snapshots,
+            "checkpoint_every": self.checkpoint_every,
+            "resume": job.preemptions > 0 or job.attempts > 0,
+            "preempt_grain": self.preempt_grain,
+        }
 
-    async def _run_process(self, wid: int, job: Job) -> dict | None:
-        """Process-mode executor: run the job in bounded-Vcycle chunks
-        on slot ``wid``'s worker process, each chunk resuming from (and
-        ending with) a durable snapshot.  Preemption is honored between
-        chunks; a dead worker raises WorkerLost to the caller."""
-        proc, _ = self._slot_process(wid)
+    async def _run_process(self, wid: int, job: Job,
+                           spec: dict) -> tuple[int, dict | None]:
+        """Process-mode dispatch: one request to slot ``wid``'s worker,
+        which runs :func:`run_job` on the disk artifact, followed by the
+        job's preemption request if one is already pending.  The
+        worker's exceptions re-raise here with their original type; a
+        closed pipe (SIGKILL, OOM, segfault) kills and forgets the
+        worker and raises :class:`WorkerLost` instead of blocking
+        forever."""
+        proc, conn = self._slot_process(wid)
         job.pids.append(proc.pid or -1)
-        while True:
-            request = {
-                "key": job.cache_key,
-                "cache_dir": str(self.cache_dir),
-                "config": dataclasses.asdict(self.config),
-                "engine": job.engine,
-                "budget": job.cycles,
-                "chunk": self.chunk_vcycles,
-                "ckpt_dir": str(self._job_dir(job)),
-                "keep": self.keep_snapshots,
-                "checkpoint_every": self.checkpoint_every,
-                "resume": (job.progress > 0 or job.preemptions > 0
-                           or job.attempts > 0),
-            }
-            reply = await asyncio.to_thread(self._run_chunk, wid, request)
-            job.progress = reply["vcycles"]
-            if reply["done"]:
-                return {k: reply[k] for k in
-                        ("vcycles", "finished", "displays",
-                         "counters", "state_sha256", "resumed_from")}
-            if job.preempt_flag.is_set():
-                return None
+        _send(conn, {"key": job.cache_key,
+                     "cache_dir": str(self.cache_dir), "spec": spec})
+        if job.preempt_flag.is_set():
+            _send(conn, "preempt")
+        try:
+            status, value = await asyncio.to_thread(conn.recv)
+        except (EOFError, OSError):
+            self._kill_slot(wid)
+            raise WorkerLost(f"slot {wid} worker (pid {proc.pid}) died "
+                             f"running a job") from None
+        if status == "err":
+            raise pickle.loads(value)
+        return value
 
     def _slot_process(self, wid: int) -> tuple:
         """Slot ``wid``'s ``(process, pipe)``, starting a worker when the
@@ -544,24 +558,6 @@ class SimulationServer:
         self._procs[wid] = proc, conn
         return proc, conn
 
-    def _run_chunk(self, wid: int, request: dict) -> dict:
-        """:func:`_serve_run_chunk` on slot ``wid``'s worker.  Its
-        exceptions re-raise here with their original type; a closed
-        pipe (SIGKILL, OOM, segfault) kills and forgets the worker and
-        raises :class:`WorkerLost` instead of blocking forever."""
-        proc, conn = self._procs[wid]
-        try:
-            conn.send(request)
-            status, value = conn.recv()
-        except (EOFError, BrokenPipeError, OSError):
-            self._kill_slot(wid)
-            raise WorkerLost(
-                f"leased worker (pid {proc.pid}) died running "
-                f"{__name__}:_serve_run_chunk") from None
-        if status == "err":
-            raise pickle.loads(value)
-        return value
-
     def _kill_slot(self, wid: int) -> None:
         slot = self._procs.pop(wid, None)
         if slot is None:
@@ -571,18 +567,6 @@ class SimulationServer:
         if proc.is_alive():
             proc.terminate()
         proc.join(timeout=5)
-
-    @staticmethod
-    def _result_payload(run) -> dict:
-        mres = run.result
-        return {
-            "vcycles": mres.vcycles,
-            "finished": mres.finished,
-            "displays": list(mres.displays),
-            "counters": mres.counters.as_dict(),
-            "state_sha256": state_digest(run.machine),
-            "resumed_from": run.resumed_from,
-        }
 
     # -- metrics -------------------------------------------------------
     def metrics_snapshot(self) -> dict:
@@ -637,26 +621,75 @@ class SimulationServer:
 
 
 # ---------------------------------------------------------------------------
-# Process-mode worker.
+# The job executor and the process-mode worker.
 # ---------------------------------------------------------------------------
 
 
+def run_job(program, spec: dict, preempt) -> tuple[int, dict | None]:
+    """Advance one job (``spec`` from :meth:`SimulationServer._job_spec`)
+    to completion, its budget, or a ``preempt()`` that returned True.
+
+    Both serve modes run every dispatch through here.  Returns the
+    Vcycles completed and the result payload, or None for the payload
+    when preempted - the handoff snapshot is then durable in the job's
+    checkpoint directory.
+    """
+    run = run_with_checkpoints(
+        program, spec["budget"], config=spec["config"],
+        engine=spec["engine"],
+        store=CheckpointStore(spec["ckpt_dir"], keep=spec["keep"]),
+        checkpoint_every=spec["checkpoint_every"], resume=spec["resume"],
+        preempt=preempt, preempt_grain=spec["preempt_grain"])
+    mres = run.result
+    if run.preempted:
+        return mres.vcycles, None
+    return mres.vcycles, {
+        "vcycles": mres.vcycles,
+        "finished": mres.finished,
+        "displays": list(mres.displays),
+        "counters": mres.counters.as_dict(),
+        "state_sha256": state_digest(run.machine),
+        "resumed_from": run.resumed_from,
+    }
+
+
 class WorkerLost(RuntimeError):
-    """A job slot's worker process died mid-chunk.  Raised instead of
+    """A job slot's worker process died mid-job.  Raised instead of
     hanging; the job is retried on a fresh process or failed."""
 
 
+def _send(conn, message) -> None:
+    """Write to a slot worker's pipe (on the event-loop thread only, so
+    messages never interleave).  A dead worker is ignored: the dispatch
+    waiting on its reply raises :class:`WorkerLost`."""
+    try:
+        conn.send(message)
+    except OSError:
+        pass
+
+
 def _worker_main(conn) -> None:
-    """A slot worker's loop: receive a chunk request, reply ``("ok",
-    reply)`` or ``("err", pickled exception)``.  Exits when the
-    server's end of the pipe closes."""
+    """A slot worker's loop: receive a job request, reply ``("ok",
+    (progress, payload))`` or ``("err", pickled exception)``.  The job
+    loads its compiled program from the disk cache by key (the program
+    never crosses the pipe) and polls the pipe for a ``"preempt"``
+    message; one read between jobs arrived after its job ended and is
+    dropped.  Exits when the server's end of the pipe closes."""
     while True:
         try:
             request = conn.recv()
         except (EOFError, OSError):
             return
+        if request == "preempt":
+            continue
         try:
-            out = ("ok", _serve_run_chunk(request))
+            compiled = CompileCache(request["cache_dir"]).get(request["key"])
+            if compiled is None:
+                raise RuntimeError(
+                    f"compiled artifact {request['key'][:12]}... missing "
+                    f"from cache {request['cache_dir']}")
+            out = ("ok", run_job(compiled.program, request["spec"],
+                                 conn.poll))
         except BaseException as exc:  # noqa: BLE001 - shipped to server
             try:
                 blob = pickle.dumps(exc)
@@ -667,45 +700,6 @@ def _worker_main(conn) -> None:
             conn.send(out)
         except (BrokenPipeError, OSError):
             return
-
-
-def _serve_run_chunk(request: dict) -> dict:
-    """Advance one job by up to ``chunk`` Vcycles on a slot worker.
-
-    The compiled program travels as a content-addressed cache key, never
-    over the pipe; job state travels as PR-5 snapshots in the job's
-    checkpoint directory.  Each chunk that does not finish the job ends
-    with a durable snapshot (the driver's preemption handoff), so a
-    SIGKILL at any instant loses at most one chunk of progress.
-    """
-    cache = CompileCache(request["cache_dir"])
-    compiled = cache.get(request["key"])
-    if compiled is None:
-        raise RuntimeError(
-            f"compiled artifact {request['key'][:12]}... missing from "
-            f"cache {request['cache_dir']}")
-    store = CheckpointStore(request["ckpt_dir"], keep=request["keep"])
-    seen = {"n": 0}
-
-    def on_vcycle(_machine) -> None:
-        seen["n"] += 1
-
-    run = run_with_checkpoints(
-        compiled.program, request["budget"],
-        config=MachineConfig(**request["config"]),
-        engine=request["engine"], store=store,
-        checkpoint_every=request["checkpoint_every"],
-        resume=request["resume"], on_vcycle=on_vcycle,
-        preempt=lambda: seen["n"] >= request["chunk"])
-    mres = run.result
-    done = mres.finished or mres.vcycles >= request["budget"]
-    out = {"vcycles": mres.vcycles, "finished": mres.finished,
-           "done": done, "resumed_from": run.resumed_from}
-    if done:
-        out["displays"] = list(mres.displays)
-        out["counters"] = mres.counters.as_dict()
-        out["state_sha256"] = state_digest(run.machine)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """CLI tests (python -m repro ...)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.machine import Machine
+from repro.machine.waveform import WaveformCollector
 
 COUNTER_V = """
 module counter();
@@ -66,6 +70,47 @@ class TestRun:
         text = vcd.read_text()
         assert "$enddefinitions" in text
         assert "c_0" in text
+
+    RUN_BC = ["run", "--design", "bc", "--engine", "codegen",
+              "--grid", "4", "4", "--json"]
+
+    def test_run_without_hooks_takes_the_bulk_path(self, capsys,
+                                                   monkeypatch):
+        """No --vcd and no --throttle: a trusted codegen run advances in
+        bulk calls and prints what per-Vcycle stepping prints."""
+        bulk = []
+        real = Machine._run_bulk
+
+        def counted(machine, until):
+            ran = real(machine, until)
+            bulk.append(ran)
+            return ran
+
+        monkeypatch.setattr(Machine, "_run_bulk", counted)
+        assert main(self.RUN_BC) == 0
+        fast = json.loads(capsys.readouterr().out)
+        assert any(bulk), "the run never took the bulk path"
+        bulk.clear()
+        # --throttle needs every Vcycle, so it forces single steps.
+        assert main(self.RUN_BC + ["--throttle", "1e-9"]) == 0
+        stepped = json.loads(capsys.readouterr().out)
+        assert not bulk
+        assert fast["finished"] and fast == stepped
+
+    def test_run_with_vcd_samples_every_vcycle(self, capsys, tmp_path,
+                                               monkeypatch):
+        samples = []
+        real = WaveformCollector.sample
+
+        def counted(collector):
+            samples.append(collector.machine.counters.vcycles)
+            real(collector)
+
+        monkeypatch.setattr(WaveformCollector, "sample", counted)
+        assert main(self.RUN_BC + ["--vcd", str(tmp_path / "bc.vcd")]) == 0
+        vcycles = json.loads(capsys.readouterr().out)["vcycles"]
+        # The initial values, then once after every Vcycle.
+        assert samples == list(range(vcycles + 1))
 
     def test_run_batch_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,6 +17,7 @@ import asyncio
 import functools
 import hashlib
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,15 +66,17 @@ def test_running_a_program_never_changes_it(name):
 
 
 def _recording_programs(monkeypatch) -> dict:
-    """Job id -> the program object its thread-mode run received."""
+    """Job id -> the program object its thread-mode run received (the
+    id is read back from the job's checkpoint dir, ``job-<id>``)."""
     seen = {}
-    real = SimulationServer._run_thread
+    real = serve_server.run_job
 
-    def recording(self, job, compiled):
-        seen[job.id] = compiled.program
-        return real(self, job, compiled)
+    def recording(program, spec, preempt):
+        seen[int(Path(spec["ckpt_dir"]).name.removeprefix("job-"))] = \
+            program
+        return real(program, spec, preempt)
 
-    monkeypatch.setattr(SimulationServer, "_run_thread", recording)
+    monkeypatch.setattr(serve_server, "run_job", recording)
     return seen
 
 

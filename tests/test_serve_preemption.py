@@ -11,10 +11,11 @@ The two hard promises of the service:
   history shows the migration);
 * **fault isolation, never a hang** — in process mode a SIGKILLed
   worker surfaces as :class:`~repro.serve.server.WorkerLost`; the job is
-  retried from its last durable snapshot on a fresh process (and still
-  finishes bit-identical) or, with the retry budget exhausted, fails
-  with a diagnostic.  Every wait in this file carries a timeout, so a
-  hang is a test failure, not a CI freeze.
+  retried from its last durable snapshot (one every ``checkpoint_every``
+  Vcycles) on a fresh process (and still finishes bit-identical) or,
+  with the retry budget exhausted, fails with a diagnostic.  Every wait
+  in this file carries a timeout, so a hang is a test failure, not a CI
+  freeze.
 """
 
 from __future__ import annotations
@@ -97,6 +98,23 @@ def test_driver_preempts_mid_vcycle_and_resumes_bit_identical(tmp_path):
     assert second.result.displays == ref.displays
     assert second.result.counters.as_dict() == ref.counters.as_dict()
     assert state_digest(second.machine) == ref_digest
+
+
+def test_driver_polls_vcycles_shorter_than_the_grain(tmp_path):
+    """With a grain no Vcycle reaches, only the poll before each
+    Vcycle's first event chunk can see the request; it still lands."""
+    polls = {"n": 0}
+
+    def preempt() -> bool:
+        polls["n"] += 1
+        return polls["n"] > 3
+
+    run = run_with_checkpoints(
+        _program("mc"), _budget("mc"), config=CONFIG, engine="strict",
+        store=CheckpointStore(tmp_path), preempt=preempt,
+        preempt_grain=1 << 30)
+    assert run.preempted
+    assert run.result.vcycles == 3
 
 
 def test_driver_preempt_on_trusted_engine_at_vcycle_boundary(tmp_path):
@@ -248,21 +266,81 @@ def test_priority_preemption_aimed_during_compile_is_kept():
     assert high.result["state_sha256"] == ref_digest
 
 
+def _snapshot_published(server, job) -> bool:
+    return bool(CheckpointStore(server._job_dir(job)).snapshot_paths())
+
+
+def _process_preempt_round_trip(name: str, engine: str, ready,
+                                **server_kw):
+    """Run one ``name`` job on a 2-slot process-mode server, preempt it
+    once it is running and ``ready(server, job)`` holds, and return the
+    finished job."""
+    async def go():
+        async with SimulationServer(workers=2, mode="process",
+                                    config=CONFIG, **server_kw) as server:
+            job = await server.submit(design=name, engine=engine,
+                                      cycles=_budget(name))
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + WAIT_S
+            while not (job.state == "running" and ready(server, job)):
+                assert not job.finished and loop.time() < deadline, \
+                    "job finished before it could be preempted"
+                await asyncio.sleep(0.002)
+            assert server.preempt(job.id)
+            return await server.wait(job.id, timeout=WAIT_S)
+
+    return asyncio.run(go())
+
+
+def _assert_migrated_and_identical(job, name: str, engine: str) -> None:
+    ref, ref_digest = _direct(name, engine)
+    assert job.state == "done", job.error
+    assert job.preemptions == 1
+    # The resume ran on the other slot, in that slot's own process.
+    assert len(set(job.workers)) == 2
+    assert len(job.pids) == 2 and job.pids[0] != job.pids[1]
+    assert job.result["resumed_from"] is not None
+    assert job.result["vcycles"] == ref.vcycles
+    assert job.result["displays"] == ref.displays
+    assert job.result["counters"] == ref.counters.as_dict()
+    assert job.result["state_sha256"] == ref_digest
+
+
+def test_process_mode_preempts_checking_engine_mid_vcycle():
+    """The preemption travels down the slot's pipe and stops a strict
+    run between event chunks; the other slot's process resumes it."""
+    job = _process_preempt_round_trip(
+        "mc", "strict", lambda server, job: True, preempt_grain=4)
+    _assert_migrated_and_identical(job, "mc", "strict")
+
+
+def test_process_mode_preempts_trusted_codegen_run():
+    """A codegen job past its verification Vcycle (a snapshot exists)
+    advances in bulk calls that stop at every snapshot boundary; the
+    forwarded preemption lands at one, the handoff resumes on the other
+    slot."""
+    job = _process_preempt_round_trip(
+        "bc", "codegen", _snapshot_published, checkpoint_every=64)
+    _assert_migrated_and_identical(job, "bc", "codegen")
+    assert job.result["resumed_from"] >= 64
+
+
 # ---------------------------------------------------------------------------
 # Fault injection: SIGKILLed workers.
 # ---------------------------------------------------------------------------
 
 
-async def _kill_once_running(job, deadline_s: float) -> int | None:
-    """SIGKILL the worker process executing ``job`` once it has a pid
-    and is running; returns the killed pid (None if the job finished
-    first)."""
+async def _kill_once_running(job, deadline_s: float,
+                             ready=lambda: True) -> int | None:
+    """SIGKILL the worker process executing ``job`` once it has a pid,
+    is running and ``ready()`` holds; returns the killed pid (None if
+    the job finished first)."""
     loop = asyncio.get_running_loop()
     deadline = loop.time() + deadline_s
     while loop.time() < deadline:
         if job.finished:
             return None
-        if job.state == "running" and job.pids:
+        if job.state == "running" and job.pids and ready():
             pid = job.pids[-1]
             try:
                 os.kill(pid, signal.SIGKILL)
@@ -279,11 +357,12 @@ def test_sigkilled_worker_is_retried_and_result_still_bit_identical():
 
     async def go():
         async with SimulationServer(workers=1, mode="process",
-                                    config=CONFIG, chunk_vcycles=64,
+                                    config=CONFIG, checkpoint_every=64,
                                     retries=1) as server:
             job = await server.submit(design=name, engine=engine,
                                       cycles=_budget(name))
-            killed = await _kill_once_running(job, WAIT_S)
+            killed = await _kill_once_running(
+                job, WAIT_S, lambda: _snapshot_published(server, job))
             assert killed is not None, \
                 "job finished before the worker could be killed"
             done = await asyncio.wait_for(
@@ -301,6 +380,8 @@ def test_sigkilled_worker_is_retried_and_result_still_bit_identical():
     assert job.result["displays"] == ref.displays
     assert job.result["finished"] == ref.finished
     assert job.result["state_sha256"] == ref_digest
+    # The retry resumed from a snapshot published before the kill.
+    assert job.result["resumed_from"] >= 64
 
 
 def test_sigkilled_worker_with_no_retries_fails_loudly_never_hangs():
@@ -308,7 +389,7 @@ def test_sigkilled_worker_with_no_retries_fails_loudly_never_hangs():
 
     async def go():
         async with SimulationServer(workers=1, mode="process",
-                                    config=CONFIG, chunk_vcycles=64,
+                                    config=CONFIG, checkpoint_every=64,
                                     retries=0) as server:
             job = await server.submit(design=name, engine=engine,
                                       cycles=_budget(name))
