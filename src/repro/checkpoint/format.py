@@ -15,8 +15,8 @@ Design rules, in order of importance:
   header; a partially written, truncated, or bit-flipped file fails
   :func:`decode_snapshot` with a :class:`SnapshotError` instead of
   restoring silently-wrong state.  (Publishing is also atomic - see
-  :func:`write_atomic` - so torn files only appear when something went
-  *very* wrong; the format refuses them anyway.)
+  :func:`write_atomic`, via :mod:`repro.store` - so torn files only appear
+  when something went *very* wrong; the format refuses them anyway.)
 * **Snapshots are deterministic.**  Equal machine states encode to
   byte-identical files (canonical JSON, sorted collections, no
   timestamps), so "same run, same snapshot" is checkable with ``cmp``.
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..netlist.serialize import blob_sha256, canonical_json
+from ..store import write_atomic as _publish
 
 MAGIC = b"RPROCKPT"
 FORMAT = "repro-checkpoint/v1"
@@ -147,37 +148,6 @@ def load_snapshot(path: str | os.PathLike) -> Snapshot:
 
 
 def write_atomic(path: str | os.PathLike, blob: bytes) -> None:
-    """Crash-safe publish: write to a temp file in the target directory,
-    fsync it, ``os.replace`` over the final name, then fsync the
-    directory so the rename itself is durable.  A reader (or a process
-    killed mid-write) only ever sees either the old file or the complete
-    new one - never a torn snapshot."""
-    path = Path(path)
-    tmp = path.with_name(f".wip-{path.name}-{os.getpid()}")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(blob)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
-    _fsync_dir(path.parent)
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Best-effort directory fsync (not supported on every platform)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
+    """Crash-safe publish: :func:`repro.store.write_atomic` with both
+    fsyncs (the file, then its directory, so the rename is durable)."""
+    _publish(path, blob, fsync=True)

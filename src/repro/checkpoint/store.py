@@ -2,7 +2,7 @@
 
 A :class:`CheckpointStore` owns one directory of ``ckpt-<vcycle>.ckpt``
 files.  Publishing goes through :func:`~repro.checkpoint.format.write_atomic`
-(rename + fsync), so a reader never observes a half-written generation;
+(:mod:`repro.store`, fsynced), so a reader never sees a torn generation;
 recovery (:meth:`CheckpointStore.scan`) nevertheless re-verifies every
 candidate file - magic, format version, payload fingerprint, and
 optionally the program fingerprint - and reports what it discarded
@@ -39,8 +39,8 @@ class CheckpointStore:
     """A directory of snapshot generations with bounded retention.
 
     ``keep`` bounds how many generations survive a :meth:`prune`
-    (newest first); 0 disables pruning.  Stale ``.wip-*`` temp files
-    from a crashed writer are removed on prune as well.
+    (newest first); 0 disables pruning.  Stale ``.wip-ckpt-*`` temp files
+    a crashed :func:`~repro.store.write_atomic` left are pruned too.
     """
 
     def __init__(self, directory: str | os.PathLike,
@@ -71,18 +71,14 @@ class CheckpointStore:
     def prune(self) -> list[Path]:
         """Drop generations beyond ``keep`` (oldest first) and stale
         temp files; returns what was removed."""
+        if not self.directory.is_dir():
+            return []
+        stale = list(self.directory.glob(".wip-ckpt-*"))
+        if self.keep > 0:
+            paths = self.snapshot_paths()
+            stale += paths[:max(0, len(paths) - self.keep)]
         removed: list[Path] = []
-        if self.directory.is_dir():
-            for tmp in self.directory.glob(".wip-ckpt-*"):
-                try:
-                    tmp.unlink()
-                    removed.append(tmp)
-                except OSError:
-                    pass
-        if self.keep <= 0:
-            return removed
-        paths = self.snapshot_paths()
-        for path in paths[:max(0, len(paths) - self.keep)]:
+        for path in stale:
             try:
                 path.unlink()
                 removed.append(path)

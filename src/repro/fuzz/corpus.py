@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from ..netlist.ir import Circuit
 from ..netlist.serialize import circuit_from_dict, circuit_to_dict
+from ..store import write_atomic
 from .generator import GeneratorParams
 from .oracle import Divergence
 
@@ -93,11 +94,8 @@ def save_entry(entry: CorpusEntry, corpus_dir: str) -> str:
     filename is content-addressed so identical repros dedup."""
     os.makedirs(corpus_dir, exist_ok=True)
     path = os.path.join(corpus_dir, f"{entry.name}.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(entry.as_dict(), f, indent=1, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
+    text = json.dumps(entry.as_dict(), indent=1, sort_keys=True) + "\n"
+    write_atomic(path, text.encode(), fsync=True)
     return path
 
 

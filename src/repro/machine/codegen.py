@@ -25,9 +25,9 @@ static schedule and **emits Python source** for the whole grid -
   architectural state and counter deltas.
 
 The emitted module is cached under a content hash of the program binary
-and machine config (in-process, plus an optional on-disk source cache at
-``$REPRO_CODEGEN_CACHE`` / ``~/.cache/repro-codegen``), so warm runs
-skip emission entirely.
+and machine config (in-process, plus ``<key>.py`` entries of a verified,
+size-capped :class:`repro.store.Store` at ``$REPRO_CODEGEN_CACHE`` /
+``~/.cache/repro-codegen``), so warm runs skip emission entirely.
 
 Once a program has run enough trusted Vcycles in a process, the same
 emitted kernel is translated to C and run natively
@@ -51,7 +51,6 @@ import hashlib
 import itertools
 import os
 import re
-import tempfile
 from bisect import bisect_right, insort
 from collections import Counter
 from typing import TYPE_CHECKING
@@ -59,6 +58,7 @@ from typing import TYPE_CHECKING
 from ..isa import instructions as isa
 from ..isa.instructions import WORD_MASK, WORD_WIDTH
 from ..isa.semantics import ALU_OPS, eval_custom
+from ..store import DEFAULT_MAX_BYTES, Store
 from .fastpath import FastpathUnsupported
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -1334,55 +1334,16 @@ def _content_key(machine: "Machine") -> str:
     return key
 
 
-def _cache_dir() -> str | None:
+def _kernel_store() -> Store | None:
+    """The on-disk kernel-source store: ``$REPRO_CODEGEN_CACHE`` (off
+    when ``""``, ``0`` or ``off``) or ``~/.cache/repro-codegen``."""
     env = os.environ.get("REPRO_CODEGEN_CACHE")
-    if env is not None:
-        if env.strip().lower() in ("", "0", "off"):
-            return None
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache",
-                        "repro-codegen")
-
-
-def _source_header(source: bytes) -> bytes:
-    return b"# sha256:" + hashlib.sha256(source).hexdigest().encode()
-
-
-def _load_cached_source(key: str) -> str | None:
-    """The cached source for ``key``, or ``None`` on a miss.
-
-    An entry is ``# sha256:<hex>`` over the source bytes, a newline, and
-    the source.  A missing or mismatched header - a torn write, a
-    flipped bit, an entry from before the header existed - is a miss:
-    the caller re-emits and overwrites it, so nothing unverified is
-    ever ``exec``'d."""
-    cache = _cache_dir()
-    if cache is None:
+    if env is None:
+        env = os.path.join(os.path.expanduser("~"), ".cache",
+                           "repro-codegen")
+    elif env.strip().lower() in ("", "0", "off"):
         return None
-    try:
-        with open(os.path.join(cache, f"{key}.py"), "rb") as fh:
-            data = fh.read()
-    except OSError:
-        return None
-    header, _, source = data.partition(b"\n")
-    if header != _source_header(source):
-        return None
-    return source.decode("utf-8")
-
-
-def _store_cached_source(key: str, source: str) -> None:
-    cache = _cache_dir()
-    if cache is None:
-        return
-    data = source.encode("utf-8")
-    try:  # best effort: a read-only cache dir must never fail a compile
-        os.makedirs(cache, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache, suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_source_header(data) + b"\n" + data)
-        os.replace(tmp, os.path.join(cache, f"{key}.py"))
-    except OSError:
-        pass
+    return Store(env, DEFAULT_MAX_BYTES)
 
 
 def _compiled_for(machine: "Machine",
@@ -1398,10 +1359,14 @@ def _compiled_for(machine: "Machine",
     if hit is not None:
         return hit
     plan = _analyze(machine)
-    source = _load_cached_source(key)
+    # A damaged entry is a miss: re-emitted and overwritten, so nothing
+    # unverified is ever exec'd.
+    store = _kernel_store()
+    source = store and store.get("py", key, bytes.decode)
     if source is None:
         source = _emit(machine, plan)
-        _store_cached_source(key, source)
+        if store is not None:
+            store.put("py", key, source.encode())
     ns = {"__name__": f"repro.machine._codegen_{key[:12]}"}
     exec(compile(source, f"<codegen {key[:12]}>", "exec"), ns)
     _MEMO[key] = (ns, plan)
@@ -1488,7 +1453,8 @@ class CodegenEngine:
         return budget
 
     def _native_source(self) -> str:
-        return (_load_cached_source(self._key)
+        store = _kernel_store()
+        return ((store and store.get("py", self._key, bytes.decode))
                 or _emit(self.machine, self._plan))
 
     def _native_layout(self):

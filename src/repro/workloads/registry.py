@@ -21,6 +21,7 @@ from ..machine.config import MachineConfig
 from ..machine.grid import Machine
 from ..netlist.ir import Circuit
 from ..serve.jobs import state_digest
+from ..store import write_atomic
 
 #: Grid the manifest pins digests for (state_digest depends on the
 #: placement, hence on the grid; other grids are cross-engine-checked
@@ -147,11 +148,8 @@ def save_workloads(workloads: dict[str, Workload],
             "pin_engine": PIN_ENGINE,
             "pin_grid": grid_key(DEFAULT_GRID),
             "workloads": [w.as_dict() for w in workloads.values()]}
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(blob, f, indent=1, sort_keys=False)
-        f.write("\n")
-    os.replace(tmp, path)
+    text = json.dumps(blob, indent=1, sort_keys=False) + "\n"
+    write_atomic(path, text.encode(), fsync=True)
     return path
 
 

@@ -192,9 +192,9 @@ def _flip_byte(data: bytes) -> bytes:
 ], ids=["flipped-byte", "truncated", "headerless"])
 def test_codegen_damaged_cache_entry_is_re_emitted(tmp_path, monkeypatch,
                                                    damage):
-    """A cache entry whose ``# sha256:`` header does not match its
-    source is a miss: the kernel is emitted again, the entry is
-    overwritten, and the run is bit-identical to the cold one."""
+    """A cache entry whose store header does not match its source is a
+    miss: the kernel is emitted again, the entry is overwritten, and the
+    run is bit-identical to the cold one."""
     monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))
     name = "jpeg"
     _forget_kernels(monkeypatch, name)

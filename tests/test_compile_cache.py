@@ -5,6 +5,7 @@ import dataclasses
 import json
 import pickle
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.compiler.cache import (
     cache_from_options,
     compile_cache_key,
 )
+from repro.machine import Machine, codegen
 from repro.machine.boot import serialize
 from repro.machine.config import TINY
 from repro.netlist.ir import Circuit, Op, OpKind, Register, Wire
@@ -157,7 +159,8 @@ class TestCacheSemantics:
         opts = _tiny_options(cache_dir=str(tmp_path))
         cold = compile_circuit(counter_circuit(), opts)
         cache = CompileCache(tmp_path)
-        path = cache.path(compile_cache_key(counter_circuit(), opts))
+        path = cache.store.path("pkl",
+                                compile_cache_key(counter_circuit(), opts))
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])  # truncate mid-pickle
         recompiled = compile_circuit(counter_circuit(), opts)
@@ -196,20 +199,60 @@ class TestCacheSemantics:
 
 
 # ----------------------------------------------------------------------
-# Store-level behavior: atomicity and eviction.
+# Store-level behavior: atomicity and eviction, for both kinds the
+# store holds - compile artifacts (``pkl``) and kernel sources (``py``).
 # ----------------------------------------------------------------------
 
+def _compile_kind(tmp_path, monkeypatch, cap):
+    """The compile cache over ``tmp_path``, capped at ``cap(size)`` and
+    storing one real artifact of ``size`` bytes."""
+    result = compile_circuit(counter_circuit(), _tiny_options())
+    size = len(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+    cache = CompileCache(tmp_path, max_bytes=cap(size))
+    return SimpleNamespace(
+        put=lambda key: cache.put(key, result),
+        get=cache.get,
+        same=lambda got: serialize(got.program) == serialize(result.program),
+        path=lambda key: cache.store.path("pkl", key))
+
+
+def _kernel_kind(tmp_path, monkeypatch, cap):
+    """The codegen kernel cache over ``tmp_path`` (opened afresh by every
+    call, as the engine does), capped at ``cap(size)`` and storing one
+    real emitted source of ``size`` bytes."""
+    machine = Machine(compile_circuit(counter_circuit(),
+                                      _tiny_options()).program, TINY)
+    source = codegen._emit(machine, codegen._analyze(machine)).encode()
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))
+    monkeypatch.setattr(codegen, "DEFAULT_MAX_BYTES", cap(len(source)))
+    return SimpleNamespace(
+        put=lambda key: codegen._kernel_store().put("py", key, source),
+        get=lambda key: codegen._kernel_store().get("py", key),
+        same=lambda got: got == source,
+        path=lambda key: codegen._kernel_store().path("py", key))
+
+
+KINDS = pytest.mark.parametrize("make_kind", [_compile_kind, _kernel_kind],
+                                ids=["pkl", "py"])
+
+
+def _dir_bytes(directory) -> int:
+    return sum(p.stat().st_size for p in directory.iterdir())
+
+
 class TestCacheStore:
-    def test_concurrent_writers_do_not_clobber(self, tmp_path):
-        result = compile_circuit(counter_circuit(), _tiny_options())
-        cache = CompileCache(tmp_path)
+    @KINDS
+    def test_concurrent_writers_do_not_clobber(self, tmp_path, monkeypatch,
+                                               make_kind):
+        cache = make_kind(tmp_path, monkeypatch,
+                          lambda size: cache_mod.DEFAULT_MAX_BYTES)
         key = "k" * 64
         errors: list[Exception] = []
 
         def writer():
             try:
                 for _ in range(10):
-                    assert cache.put(key, result)
+                    assert cache.put(key)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -222,7 +265,7 @@ class TestCacheStore:
         # Whoever won the last rename, the entry is complete and loadable.
         loaded = cache.get(key)
         assert loaded is not None
-        assert serialize(loaded.program) == serialize(result.program)
+        assert cache.same(loaded)
         # No temp files leak.
         assert not list(tmp_path.glob(".wip-*"))
 
@@ -232,20 +275,21 @@ class TestCacheStore:
         cache.put("a" * 64, result)
         cache.put("b" * 64, result)
         # Cap of one byte: every store immediately evicts down to zero.
-        assert cache.total_bytes() <= 1
+        assert _dir_bytes(tmp_path) <= 1
         assert cache.stats.evictions >= 2
         assert cache.get("a" * 64) is None
 
-    def test_eviction_prefers_least_recently_used(self, tmp_path):
+    @KINDS
+    def test_eviction_prefers_least_recently_used(self, tmp_path,
+                                                  monkeypatch, make_kind):
         import os
-        result = compile_circuit(counter_circuit(), _tiny_options())
-        blob = len(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
-        cache = CompileCache(tmp_path, max_bytes=2 * blob + blob // 2)
-        cache.put("a" * 64, result)
-        cache.put("b" * 64, result)
+        cache = make_kind(tmp_path, monkeypatch,
+                          lambda size: 2 * size + size // 2)
+        cache.put("a" * 64)
+        cache.put("b" * 64)
         # Backdate "b" so "a" is the most recently used entry.
         os.utime(cache.path("b" * 64), (1, 1))
-        cache.put("c" * 64, result)   # over cap -> evict oldest ("b")
+        cache.put("c" * 64)   # over cap -> evict oldest ("b")
         assert cache.get("b" * 64) is None
         assert cache.get("a" * 64) is not None
 

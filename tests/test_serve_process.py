@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import multiprocessing as mp
 import os
+import shutil
 import signal
 import threading
 import time
@@ -174,6 +175,42 @@ def test_close_leaves_no_worker_process(cache_dir):
         assert not proc.is_alive()
     assert not {p.pid for p in procs} & \
         {child.pid for child in mp.active_children()}
+
+
+@pytest.mark.parametrize("damage", ["flipped-byte", "other-key"])
+def test_artifact_damaged_before_the_worker_loads_it_fails_the_job(
+        tmp_path, damage):
+    """The compile entry is damaged after the server compiled it and
+    before the slot worker loads it - a flipped byte, or a valid entry
+    of another circuit copied over it: the job fails with the named
+    missing-artifact error instead of running some other program."""
+    cache_dir = str(tmp_path)
+    other = compile_circuit(counter_circuit(limit=20),
+                            CompilerOptions(config=CONFIG,
+                                            cache_dir=cache_dir))
+    store = CompileCache(cache_dir).store
+    other_entry = store.path("pkl", other.report.cache["key"])
+    real = serve_server.compile_circuit
+
+    def compile_then_damage(circuit, options):
+        compiled = real(circuit, options)
+        entry = store.path("pkl", compiled.report.cache["key"])
+        if damage == "other-key":
+            shutil.copyfile(other_entry, entry)
+        else:
+            data = bytearray(entry.read_bytes())
+            data[len(data) // 2] ^= 0x01
+            entry.write_bytes(data)
+        return compiled
+
+    with mock.patch.object(serve_server, "compile_circuit",
+                           compile_then_damage):
+        job = _serve(cache_dir, _run)
+    assert job.state == "failed", (job.state, job.result)
+    assert job.error.startswith("RuntimeError: compiled artifact "), \
+        job.error
+    assert "missing from cache" in job.error
+    assert job.attempts == 0
 
 
 def test_start_method_ignores_environment(cache_dir, monkeypatch):
