@@ -25,9 +25,13 @@ static schedule and **emits Python source** for the whole grid -
   architectural state and counter deltas.
 
 The emitted module is cached under a content hash of the program binary
-and machine config (in-process, plus ``<key>.py`` entries of a verified,
-size-capped :class:`repro.store.Store` at ``$REPRO_CODEGEN_CACHE`` /
-``~/.cache/repro-codegen``), so warm runs skip emission entirely.
+and machine config: in-process, plus two entries per kernel in a
+verified, size-capped :class:`repro.store.Store` at
+``$REPRO_CODEGEN_CACHE`` / ``~/.cache/repro-codegen`` - the source
+(``<key>.py``, the native translator's input) and its marshalled code
+object (``<key>.code``, stamped with the interpreter's
+``importlib.util.MAGIC_NUMBER``) - so warm runs neither emit nor
+``compile()`` a kernel.
 
 Once a program has run enough trusted Vcycles in a process, the same
 emitted kernel is translated to C and run natively
@@ -49,16 +53,19 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import marshal
 import os
 import re
+import types
 from bisect import bisect_right, insort
 from collections import Counter
+from importlib.util import MAGIC_NUMBER
 from typing import TYPE_CHECKING
 
 from ..isa import instructions as isa
 from ..isa.instructions import WORD_MASK, WORD_WIDTH
 from ..isa.semantics import ALU_OPS, eval_custom
-from ..store import DEFAULT_MAX_BYTES, Store
+from ..store import DEFAULT_MAX_BYTES, CacheStats, Store
 from .fastpath import FastpathUnsupported
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -1334,16 +1341,55 @@ def _content_key(machine: "Machine") -> str:
     return key
 
 
+#: One :class:`Store` per kernel-cache directory, so every read and
+#: write of both kinds counts into one :class:`CacheStats`.
+_STORES: dict[str, Store] = {}
+
+
 def _kernel_store() -> Store | None:
-    """The on-disk kernel-source store: ``$REPRO_CODEGEN_CACHE`` (off
-    when ``""``, ``0`` or ``off``) or ``~/.cache/repro-codegen``."""
+    """The on-disk kernel store: ``$REPRO_CODEGEN_CACHE`` (off when
+    ``""``, ``0`` or ``off``) or ``~/.cache/repro-codegen``."""
     env = os.environ.get("REPRO_CODEGEN_CACHE")
     if env is None:
         env = os.path.join(os.path.expanduser("~"), ".cache",
                            "repro-codegen")
     elif env.strip().lower() in ("", "0", "off"):
         return None
-    return Store(env, DEFAULT_MAX_BYTES)
+    store = _STORES.get(env)
+    if store is None:
+        store = _STORES.setdefault(env, Store(env, DEFAULT_MAX_BYTES))
+    return store
+
+
+def kernel_cache_stats() -> CacheStats | None:
+    """Hits, misses, stores, evictions and corrupt entries of the
+    current kernel-cache directory in this process (both kinds), or
+    ``None`` when the cache is off."""
+    store = _kernel_store()
+    return store and store.stats
+
+
+def _unmarshal(payload: bytes) -> types.CodeType:
+    """A code entry's payload back to its code object; one written by an
+    interpreter with another bytecode magic is rejected unread."""
+    if not payload.startswith(MAGIC_NUMBER):
+        raise ValueError("code entry of another bytecode version")
+    code = marshal.loads(payload[len(MAGIC_NUMBER):])
+    if not isinstance(code, types.CodeType):
+        raise TypeError(f"code entry holds a {type(code).__name__}")
+    return code
+
+
+def _source_for(machine: "Machine", plan: _Plan, key: str,
+                store: Store | None) -> str:
+    """The kernel source: the verified ``py`` entry, or emitted again
+    and stored."""
+    source = store and store.get("py", key, bytes.decode)
+    if source is None:
+        source = _emit(machine, plan)
+        if store is not None:
+            store.put("py", key, source.encode())
+    return source
 
 
 def _compiled_for(machine: "Machine",
@@ -1352,23 +1398,25 @@ def _compiled_for(machine: "Machine",
 
     The plan is pure static metadata (positions, counts, thresholds), so
     two machines running the same program under the same config share
-    one analysis and one exec'd module.
+    one analysis and one exec'd module.  A memo miss loads the verified
+    code entry, else compiles the verified (or a freshly emitted) source
+    and stores its code entry: a damaged entry of either kind is a miss,
+    rebuilt and overwritten, so nothing unverified is ever exec'd.
     """
     key = key or _content_key(machine)
     hit = _MEMO.get(key)
     if hit is not None:
         return hit
     plan = _analyze(machine)
-    # A damaged entry is a miss: re-emitted and overwritten, so nothing
-    # unverified is ever exec'd.
     store = _kernel_store()
-    source = store and store.get("py", key, bytes.decode)
-    if source is None:
-        source = _emit(machine, plan)
+    code = store and store.get("code", key, _unmarshal)
+    if code is None:
+        source = _source_for(machine, plan, key, store)
+        code = compile(source, f"<codegen {key[:12]}>", "exec")
         if store is not None:
-            store.put("py", key, source.encode())
+            store.put("code", key, MAGIC_NUMBER + marshal.dumps(code))
     ns = {"__name__": f"repro.machine._codegen_{key[:12]}"}
-    exec(compile(source, f"<codegen {key[:12]}>", "exec"), ns)
+    exec(code, ns)
     _MEMO[key] = (ns, plan)
     return ns, plan
 
@@ -1453,9 +1501,8 @@ class CodegenEngine:
         return budget
 
     def _native_source(self) -> str:
-        store = _kernel_store()
-        return ((store and store.get("py", self._key, bytes.decode))
-                or _emit(self.machine, self._plan))
+        return _source_for(self.machine, self._plan, self._key,
+                           _kernel_store())
 
     def _native_layout(self):
         lengths = {}

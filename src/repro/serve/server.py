@@ -514,13 +514,31 @@ class SimulationServer:
 
     async def _run_process(self, wid: int, job: Job,
                            spec: dict) -> tuple[int, dict | None]:
-        """Process-mode dispatch: one request to slot ``wid``'s worker,
-        which runs :func:`run_job` on the disk artifact, followed by the
-        job's preemption request if one is already pending.  The
-        worker's exceptions re-raise here with their original type; a
-        closed pipe (SIGKILL, OOM, segfault) kills and forgets the
-        worker and raises :class:`WorkerLost` instead of blocking
-        forever."""
+        """Process-mode dispatch: slot ``wid``'s worker runs
+        :func:`run_job` on the disk artifact.  An artifact missing at
+        the worker's load - damaged, or evicted by another writer since
+        the compile - is compiled again (``compile_circuit`` re-stores
+        it) and the job redispatched once; a second miss fails the job
+        with a named ``RuntimeError``.  The worker's exceptions re-raise
+        here with their original type."""
+        status, value = await self._dispatch_process(wid, job, spec)
+        if status == "missing":
+            await asyncio.to_thread(compile_circuit,
+                                    self._circuits[job.id], self._options)
+            status, value = await self._dispatch_process(wid, job, spec)
+        if status == "missing":
+            raise RuntimeError(value)
+        if status == "err":
+            raise pickle.loads(value)
+        return value
+
+    async def _dispatch_process(self, wid: int, job: Job,
+                                spec: dict) -> tuple[str, object]:
+        """One request to slot ``wid``'s worker, followed by the job's
+        preemption request if one is already pending; the worker's
+        ``(status, value)`` reply.  A closed pipe (SIGKILL, OOM,
+        segfault) kills and forgets the worker and raises
+        :class:`WorkerLost` instead of blocking forever."""
         proc, conn = self._slot_process(wid)
         job.pids.append(proc.pid or -1)
         _send(conn, {"key": job.cache_key,
@@ -528,14 +546,11 @@ class SimulationServer:
         if job.preempt_flag.is_set():
             _send(conn, "preempt")
         try:
-            status, value = await asyncio.to_thread(conn.recv)
+            return await asyncio.to_thread(conn.recv)
         except (EOFError, OSError):
             self._kill_slot(wid)
             raise WorkerLost(f"slot {wid} worker (pid {proc.pid}) died "
                              f"running a job") from None
-        if status == "err":
-            raise pickle.loads(value)
-        return value
 
     def _slot_process(self, wid: int) -> tuple:
         """Slot ``wid``'s ``(process, pipe)``, starting a worker when the
@@ -670,11 +685,13 @@ def _send(conn, message) -> None:
 
 def _worker_main(conn) -> None:
     """A slot worker's loop: receive a job request, reply ``("ok",
-    (progress, payload))`` or ``("err", pickled exception)``.  The job
-    loads its compiled program from the disk cache by key (the program
-    never crosses the pipe) and polls the pipe for a ``"preempt"``
-    message; one read between jobs arrived after its job ended and is
-    dropped.  Exits when the server's end of the pipe closes."""
+    (progress, payload))``, ``("missing", message)`` when the compiled
+    program is not in the disk cache, or ``("err", pickled
+    exception)``.  The job loads its compiled program from the disk
+    cache by key (the program never crosses the pipe) and polls the
+    pipe for a ``"preempt"`` message; one read between jobs arrived
+    after its job ended and is dropped.  Exits when the server's end of
+    the pipe closes."""
     while True:
         try:
             request = conn.recv()
@@ -685,11 +702,12 @@ def _worker_main(conn) -> None:
         try:
             compiled = CompileCache(request["cache_dir"]).get(request["key"])
             if compiled is None:
-                raise RuntimeError(
-                    f"compiled artifact {request['key'][:12]}... missing "
-                    f"from cache {request['cache_dir']}")
-            out = ("ok", run_job(compiled.program, request["spec"],
-                                 conn.poll))
+                out = ("missing",
+                       f"compiled artifact {request['key'][:12]}... "
+                       f"missing from cache {request['cache_dir']}")
+            else:
+                out = ("ok", run_job(compiled.program, request["spec"],
+                                     conn.poll))
         except BaseException as exc:  # noqa: BLE001 - shipped to server
             try:
                 blob = pickle.dumps(exc)

@@ -7,13 +7,14 @@ file or the whole new one, and fsyncs the file and its directory when
 asked (snapshots, the fuzz corpus and the workload manifest ask; the
 caches do not - a lost entry is only a miss).
 
-A :class:`Store` is a directory of ``<key>.<kind>`` entries - the
-compile cache's ``pkl``, the codegen kernel cache's ``py`` - each one
-header line binding :data:`MAGIC`, kind, key, payload length and sha256,
-then the payload.  :meth:`Store.get` checks the header before the caller
-unpickles or ``exec``'s anything, so a torn, flipped or foreign entry is
-a ``corrupt`` miss and is deleted; every :meth:`Store.put` evicts the
-oldest-read files, leftover temps included, back under one size cap.
+A :class:`Store` is a directory of ``<key>.<kind>`` entries (the
+compile cache's ``pkl``, the codegen kernel cache's ``py`` and
+``code``), each one header line binding :data:`MAGIC`, kind, key,
+payload length and sha256, then the payload.  :meth:`Store.get` checks
+the header before the caller unpickles, unmarshals or ``exec``'s
+anything, so a torn, flipped or foreign entry is a ``corrupt`` miss and
+is deleted; every :meth:`Store.put` evicts the oldest-read files,
+leftover temps included, back under one size cap.
 """
 
 from __future__ import annotations

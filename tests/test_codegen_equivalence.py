@@ -28,6 +28,7 @@ from repro.machine import codegen as cg
 from repro.machine import grid
 from repro.machine.boot import serialize
 from repro.obs import Profiler
+from repro.serve import state_digest
 from repro.workloads import build_workload, load_workloads
 
 CONFIG = MachineConfig(grid_x=8, grid_y=8)
@@ -154,6 +155,33 @@ def test_codegen_source_cache_warm_start(tmp_path, monkeypatch):
     _assert_same(cold_m, cold_r, warm_m, warm_r)
 
 
+@pytest.mark.parametrize("name", ["bc", "jpeg", "mc"])
+def test_warm_kernel_load_never_compiles(tmp_path, monkeypatch, name):
+    """With both kernel entries on disk, a fresh process's kernel build
+    unmarshals the code entry: no emission and no ``compile()``, and a
+    run bit-identical to the cold one."""
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))
+    _forget_kernels(monkeypatch, name)
+    budget = _budget(name)
+    cold_m = Machine(_program(name), CONFIG, engine="codegen")
+    cold_r = cold_m.run(budget)
+    assert len(list(tmp_path.glob("*.py"))) == 1
+    assert len(list(tmp_path.glob("*.code"))) == 1
+
+    _forget_kernels(monkeypatch, name)
+    compiles = []
+    monkeypatch.setattr(cg, "compile", lambda *args: compiles.append(args),
+                        raising=False)
+    before = cg.EMISSIONS
+    warm_m = Machine(_program(name), CONFIG, engine="codegen")
+    warm_r = warm_m.run(budget)
+    assert isinstance(warm_m._fastpath, cg.CodegenEngine), \
+        "the kernel never engaged"
+    assert compiles == [] and cg.EMISSIONS == before
+    _assert_same(cold_m, cold_r, warm_m, warm_r)
+    assert state_digest(warm_m) == state_digest(cold_m)
+
+
 def test_content_key_hit_skips_config_asdict(monkeypatch):
     """A second machine of one program and an equal config hits the
     program record's key memo without re-deriving the config repr, and
@@ -192,9 +220,10 @@ def _flip_byte(data: bytes) -> bytes:
 ], ids=["flipped-byte", "truncated", "headerless"])
 def test_codegen_damaged_cache_entry_is_re_emitted(tmp_path, monkeypatch,
                                                    damage):
-    """A cache entry whose store header does not match its source is a
+    """A source entry whose store header does not match its source is a
     miss: the kernel is emitted again, the entry is overwritten, and the
-    run is bit-identical to the cold one."""
+    run is bit-identical to the cold one.  The source is read only when
+    no code entry loads, so the code entry goes first."""
     monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))
     name = "jpeg"
     _forget_kernels(monkeypatch, name)
@@ -202,6 +231,8 @@ def test_codegen_damaged_cache_entry_is_re_emitted(tmp_path, monkeypatch,
     cold_m = Machine(_program(name), CONFIG, engine="codegen")
     cold_r = cold_m.run(budget)
     (entry,) = tmp_path.glob("*.py")
+    (code,) = tmp_path.glob("*.code")
+    code.unlink()
     good = entry.read_bytes()
     entry.write_bytes(damage(good))
 
@@ -291,8 +322,12 @@ def test_compiled_program_is_pinned(name):
 
 
 def test_codegen_cache_can_be_disabled(tmp_path, monkeypatch):
+    """``off`` disables both kernel kinds: nothing is written, not even
+    under the default directory (``HOME`` points at ``tmp_path``)."""
+    monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.setenv("REPRO_CODEGEN_CACHE", "off")
     _forget_kernels(monkeypatch, "jpeg")
     machine = Machine(_program("jpeg"), CONFIG, engine="codegen")
     machine.run(_budget("jpeg"))
-    assert not list(tmp_path.glob("*.py"))
+    assert isinstance(machine._fastpath, cg.CodegenEngine)
+    assert not list(tmp_path.rglob("*"))

@@ -654,6 +654,30 @@ def test_fallback_on_unsupported_construct(fresh_memo, monkeypatch):
     assert "non-host function" in _fallback_run()
 
 
+@pytest.mark.skipif(not HAVE_CC, reason="needs a C compiler")
+def test_damaged_source_entry_is_restored_at_native_build(
+        fresh_memo, monkeypatch, tmp_path):
+    """The code entry loads, so only the native build reads the source
+    entry: a damaged one is emitted once and put back byte-identical,
+    and the run keeps its digest."""
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))
+    monkeypatch.setattr(cg, "_MEMO", {})
+    program = _small("mc")
+    budget = DESIGNS["mc"].cycles_at("small")
+    ref = _observed(*_run(program, CONFIG, budget, "python"))
+    (entry,) = tmp_path.glob("*.py")
+    good = entry.read_bytes()
+    entry.write_bytes(good[:len(good) // 2])
+
+    monkeypatch.setattr(cg, "_MEMO", {})
+    before = cg.EMISSIONS
+    machine, result = _run(program, CONFIG, budget, "native")
+    assert cg.EMISSIONS == before + 1
+    assert entry.read_bytes() == good, "the source entry was not restored"
+    assert _observed(machine, result) == ref
+    _check_tier(machine)
+
+
 # ---------------------------------------------------------------------------
 # Concurrency, observability.
 # ---------------------------------------------------------------------------

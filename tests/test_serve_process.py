@@ -177,23 +177,23 @@ def test_close_leaves_no_worker_process(cache_dir):
         {child.pid for child in mp.active_children()}
 
 
-@pytest.mark.parametrize("damage", ["flipped-byte", "other-key"])
-def test_artifact_damaged_before_the_worker_loads_it_fails_the_job(
-        tmp_path, damage):
-    """The compile entry is damaged after the server compiled it and
-    before the slot worker loads it - a flipped byte, or a valid entry
-    of another circuit copied over it: the job fails with the named
-    missing-artifact error instead of running some other program."""
-    cache_dir = str(tmp_path)
+def _damaging_compile(cache_dir, damage, times):
+    """``compile_circuit`` that damages the entry it just stored, on its
+    first ``times`` calls: a flipped byte, or a valid entry of another
+    circuit copied over it."""
     other = compile_circuit(counter_circuit(limit=20),
                             CompilerOptions(config=CONFIG,
                                             cache_dir=cache_dir))
     store = CompileCache(cache_dir).store
     other_entry = store.path("pkl", other.report.cache["key"])
     real = serve_server.compile_circuit
+    calls = []
 
     def compile_then_damage(circuit, options):
         compiled = real(circuit, options)
+        calls.append(compiled.report.cache["status"])
+        if len(calls) > times:
+            return compiled
         entry = store.path("pkl", compiled.report.cache["key"])
         if damage == "other-key":
             shutil.copyfile(other_entry, entry)
@@ -203,6 +203,42 @@ def test_artifact_damaged_before_the_worker_loads_it_fails_the_job(
             entry.write_bytes(data)
         return compiled
 
+    return compile_then_damage, calls
+
+
+@pytest.mark.parametrize("damage", ["flipped-byte", "other-key"])
+def test_artifact_damaged_before_the_worker_loads_it_fails_the_job(
+        tmp_path, damage):
+    """The compile entry is damaged after the server compiled it and
+    before the slot worker loads it - a flipped byte, or a valid entry
+    of another circuit copied over it: the worker reports it missing,
+    the server compiles again (re-storing the entry) and redispatches
+    once, and the job finishes with the digest of its own program,
+    never the other circuit's."""
+    cache_dir = str(tmp_path)
+    compile_then_damage, calls = _damaging_compile(cache_dir, damage, 1)
+    with mock.patch.object(serve_server, "compile_circuit",
+                           compile_then_damage):
+        job = _serve(cache_dir, _run)
+    assert job.state == "done", (job.state, job.error)
+    assert calls == ["miss", "miss"], "the recompile did not re-store"
+    assert job.attempts == 0
+    program = compile_circuit(counter_circuit(), CompilerOptions(
+        config=CONFIG, cache_dir=cache_dir)).program
+    machine = Machine(program, CONFIG)
+    result = machine.run(200)
+    assert job.result["vcycles"] == result.vcycles
+    assert job.result["state_sha256"] == state_digest(machine)
+
+
+@pytest.mark.parametrize("damage", ["flipped-byte", "other-key"])
+def test_artifact_missing_again_after_the_recompile_fails_the_job(
+        tmp_path, damage):
+    """The entry is damaged again after the recompile: the second miss
+    fails the job with the named missing-artifact error instead of
+    running some other program."""
+    cache_dir = str(tmp_path)
+    compile_then_damage, calls = _damaging_compile(cache_dir, damage, 2)
     with mock.patch.object(serve_server, "compile_circuit",
                            compile_then_damage):
         job = _serve(cache_dir, _run)
@@ -210,7 +246,7 @@ def test_artifact_damaged_before_the_worker_loads_it_fails_the_job(
     assert job.error.startswith("RuntimeError: compiled artifact "), \
         job.error
     assert "missing from cache" in job.error
-    assert job.attempts == 0
+    assert len(calls) == 2 and job.attempts == 0
 
 
 def test_start_method_ignores_environment(cache_dir, monkeypatch):
